@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .core import (
     AbelianGroup,
     CyclicGroup,
@@ -26,43 +28,37 @@ from .numtheory import euler_phi
 AUT_ORDER_CAP = 256      # largest |G| the counters will materialize
 AUT_GENERATOR_CAP = 4    # refuse greedy generating sets larger than this
 AUT_SEARCH_CAP = 1_200_000  # refuse candidate-image products larger than this
+TABLE_BLOCK = 512        # index pairs per batch product; bounds the temporaries
 
 
 class MaterializedGroup:
-    """Index-based multiplication table for fast search."""
+    """Index-based multiplication table for fast search.
+
+    Indices follow ``group.elements()``; index 0 is the identity.  The table
+    comes from batch products over blocks of index pairs, and the element
+    orders are the group's cached order array.
+    """
 
     def __init__(self, group: Group, cap: int = AUT_ORDER_CAP):
         if group.order > cap:
             raise ResourceLimitError(
                 f"|{group.name}| = {group.order} exceeds the search cap of {cap}"
             )
+        n = group.order
         self.group = group
-        self.elements = list(group.elements())
-        n = len(self.elements)
-        if n != group.order:
-            raise IntegrityError(
-                f"enumeration of {group.name} yielded {n} elements, "
-                f"declared order is {group.order}"
-            )
-        index = {x: i for i, x in enumerate(self.elements)}
-        mul = group.multiply
-        self.table = [
-            [index[mul(x, y)] for y in self.elements] for x in self.elements
-        ]
-        self.identity = index[group.identity()]
+        self.orders = group.element_orders().tolist()
+        idx = np.arange(n, dtype=np.int32)
+        rows = max(1, TABLE_BLOCK // n)
+        self.table = []
+        for lo in range(0, n, rows):
+            left = idx[lo:lo + rows]
+            products = group.index_product(np.repeat(left, n), np.tile(idx, len(left)))
+            self.table += products.reshape(len(left), n).tolist()
+        self.elements = group.payloads(idx)
+        self.identity = 0
         self.n = n
-        # orders by iterated multiplication over the table
-        orders = []
-        e = self.identity
-        for i in range(n):
-            t, y = 1, i
-            while y != e:
-                y = self.table[y][i]
-                t += 1
-            orders.append(t)
-        self.orders = orders
         buckets: dict[int, list[int]] = {}
-        for i, o in enumerate(orders):
+        for i, o in enumerate(self.orders):
             buckets.setdefault(o, []).append(i)
         self.order_buckets = buckets
 

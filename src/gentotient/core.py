@@ -7,26 +7,30 @@ spectrum count at the group exponent.
 
 Enumeration is the oracle that every closed formula in
 :mod:`gentotient.closedforms` gets checked against, so the element-by-element
-paths here deliberately avoid those formulas.  Structural shortcuts exist only
-where the spectrum of a large group is assembled from exhaustively computed
-pieces: direct products combine factor spectra by lcm-convolution, and
-symmetric/alternating groups delegate to the cycle-type engine.
+paths here deliberately avoid those formulas.  The oracle is one order engine:
+every realization numbers its elements 0..|G|-1 in ``elements()`` order and
+applies its group law to whole numpy batches of them, from which the engine
+builds the power maps x -> x^p and the order of every element.  Structural
+shortcuts exist only where the spectrum of a large group is assembled from
+exhaustively computed pieces: direct products combine factor spectra by
+lcm-convolution, and symmetric/alternating groups delegate to the cycle-type
+engine.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from itertools import permutations as _permutations
 from itertools import product as _iproduct
-from typing import Iterator, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .numtheory import (
-    divisors,
     euler_phi,
     euler_phi_from_factorization,
     factorial_factorization,
@@ -40,6 +44,7 @@ MAX_ELEMENTS_ENV = "GENTOTIENT_MAX_ELEMENTS"
 PERMUTATION_ENUM_LIMIT = 10  # S_n / A_n element streams only up to here
 PARTITION_ENGINE_LIMIT = 40  # S_n / A_n spectra via cycle types up to here
 CAYLEY_TABLE_LIMIT = 512     # full associativity check is O(n^3)
+ENGINE_CHUNK = 1 << 13       # elements per batch while building power maps
 
 
 class GroupError(Exception):
@@ -72,23 +77,23 @@ def enumeration_cap() -> int:
     return value
 
 
-def _require_enumerable(group: "Group") -> None:
-    cap = enumeration_cap()
-    if group.order > cap:
-        raise ResourceLimitError(
-            f"|{group.name}| = {group.order} exceeds the enumeration cap of "
-            f"{cap} elements (set {MAX_ELEMENTS_ENV} to raise it)"
-        )
+def _index_dtype(order: int):
+    """Integer dtype of the index arrays of a group of the given order."""
+    return np.int32 if order < 2**31 else np.int64
 
 
 @dataclass(frozen=True)
 class OrderSpectrum:
     """Exact map from element order to the count of elements of that order."""
 
-    entries: dict
+    entries: Mapping[int, int]
     group_order: int
 
     def __post_init__(self):
+        # spectra are cached on their groups, so the entries are a read-only
+        # copy, sorted by order
+        frozen = MappingProxyType(dict(sorted(self.entries.items())))
+        object.__setattr__(self, "entries", frozen)
         self.check()
 
     def check(self) -> None:
@@ -104,14 +109,16 @@ class OrderSpectrum:
         for d, count in entries.items():
             if d < 1 or count < 0:
                 raise IntegrityError(f"bad spectrum entry {d}: {count}")
-            if count % euler_phi(d) != 0:
+            primes = factorize(d)
+            if count % euler_phi_from_factorization(primes) != 0:
                 raise IntegrityError(
                     f"count {count} at order {d} is not a multiple of phi({d})"
                 )
-            for e in divisors(d):
-                if e not in entries:
+            # closure under d -> d/p for every prime p | d is divisor closure
+            for p in primes:
+                if d // p not in entries:
                     raise IntegrityError(
-                        f"order {d} present but its divisor {e} is missing"
+                        f"order {d} present but its divisor {d // p} is missing"
                     )
 
     def exponent(self) -> int:
@@ -183,6 +190,7 @@ class Group:
         self.order = order
         self.name = name
         self._spectrum: Optional[OrderSpectrum] = None
+        self._orders: Optional[np.ndarray] = None
 
     # -- realization interface -------------------------------------------
 
@@ -207,6 +215,52 @@ class Group:
 
     def order_factorization(self) -> dict[int, int]:
         return factorize(self.order)
+
+    def require_enumerable(self) -> None:
+        """Refuse element-by-element work beyond the enumeration cap."""
+        cap = enumeration_cap()
+        if self.order > cap:
+            raise ResourceLimitError(
+                f"|{self.name}| = {self.order} exceeds the enumeration cap of "
+                f"{cap} elements (set {MAX_ELEMENTS_ENV} to raise it)"
+            )
+
+    # -- indexed batches: what the order engine sees ----------------------
+    #
+    # Index i names the i-th element of elements(); index 0 is the identity.
+    # A batch holds many elements as numpy arrays, in a layout each
+    # realization chooses, and _batch_multiply applies the group law to two
+    # batches element by element.
+
+    def _decode(self, idx: np.ndarray):
+        """Batch holding the elements at the given indices."""
+        raise NotImplementedError
+
+    def _encode(self, batch) -> np.ndarray:
+        """Indices of the elements of a batch."""
+        raise NotImplementedError
+
+    def _batch_multiply(self, x, y):
+        raise NotImplementedError
+
+    def _unpack(self, batch) -> list:
+        """Canonical payloads of the elements of a batch."""
+        raise NotImplementedError
+
+    def payloads(self, idx) -> list:
+        """Payloads of the elements at the given indices."""
+        return self._unpack(self._decode(np.asarray(idx, dtype=_index_dtype(self.order))))
+
+    def index_product(self, a, b) -> np.ndarray:
+        """Indices of x_a * x_b for two index arrays of equal length."""
+        return self._encode(self._batch_multiply(self._decode(a), self._decode(b)))
+
+    def element_orders(self) -> np.ndarray:
+        """Read-only array holding the order of the element at each index."""
+        if self._orders is None:
+            self.require_enumerable()
+            self._orders = _element_orders(self)
+        return self._orders
 
     # -- generic machinery -------------------------------------------------
 
@@ -251,17 +305,108 @@ class Group:
         return f"<{self.kind} {self.name} of order {self.order}>"
 
 
+def _iterate_map(m: np.ndarray, times: int) -> np.ndarray:
+    """The index map m applied `times` >= 1 times, by repeated squaring."""
+    out = None
+    while True:
+        if times & 1:
+            out = m if out is None else m[out]
+        times >>= 1
+        if not times:
+            return out
+        m = m[m]
+
+
+def _concat(batches: list):
+    """One batch holding the elements of several batches, in order."""
+    if isinstance(batches[0], tuple):
+        return tuple(_concat(list(parts)) for parts in zip(*batches))
+    return np.concatenate(batches, axis=-1)
+
+
+def _power_maps(group: Group, primes: list[int]) -> list[np.ndarray]:
+    """Index maps x -> x^p, one per prime, from the batch group law.
+
+    Elements are decoded a chunk at a time, and every chunk must encode back
+    to its own indices: the indices enumerate exactly |G| distinct elements.
+    """
+    n = group.order
+    maps = np.empty((len(primes), n), _index_dtype(n))
+    for lo in range(0, n, ENGINE_CHUNK):
+        idx = np.arange(lo, min(n, lo + ENGINE_CHUNK), dtype=maps.dtype)
+        x = group._decode(idx)
+        squares = [x]  # x^(2^k), shared by the primes' binary powers
+        powers = [x]
+        for p in primes:
+            acc = None
+            for k in range(p.bit_length()):
+                if k == len(squares):
+                    squares.append(group._batch_multiply(squares[-1], squares[-1]))
+                if p >> k & 1:
+                    acc = squares[k] if acc is None else group._batch_multiply(acc, squares[k])
+            powers.append(acc)
+        # one encode for the chunk and all its p-th powers
+        codes = group._encode(_concat(powers)).reshape(len(powers), len(idx))
+        if (codes[0] != idx).any():
+            raise IntegrityError(
+                f"the indices of {group.name} do not enumerate its {n} elements"
+            )
+        maps[:, lo:lo + len(idx)] = codes[1:]
+    return list(maps)
+
+
+def _element_orders(group: Group) -> np.ndarray:
+    """Order of every element of a group, by index, from its power maps.
+
+    For each prime p dividing |G| = prod p^a, raising x to |G| / p^a, by
+    gathers through the other primes' power maps, leaves an element whose
+    order is the p-part of o(x); applying the map x -> x^p until the identity
+    (index 0) is reached counts that p-part.  Power maps are the method of
+    Holt, Eick and O'Brien, Handbook of Computational Group Theory (2005),
+    ch. 3.
+    """
+    n = group.order
+    dtype = _index_dtype(n)
+    factors = group.order_factorization()
+    primes = sorted(factors)
+    maps = _power_maps(group, primes)
+    # x -> x^(q^a), which removes the q-part from every element
+    kills = [_iterate_map(m, factors[q]) for m, q in zip(maps, primes)]
+    orders = np.ones(n, dtype)
+    for i, (p, pmap) in enumerate(zip(primes, maps)):
+        y = None
+        for kill in kills[:i] + kills[i + 1:]:
+            y = kill if y is None else kill[y]
+        if y is None:
+            y = np.arange(n, dtype=dtype)
+        for _ in range(factors[p]):
+            live = y != 0
+            if not live.any():
+                break
+            np.multiply(orders, p, out=orders, where=live)
+            y = pmap[y]
+        if y.any():
+            raise IntegrityError(f"x^{n} is not the identity for some x in {group.name}")
+    orders.flags.writeable = False
+    return orders
+
+
 # ---------------------------------------------------------------------------
 # realizations
 # ---------------------------------------------------------------------------
 
 
+def _count_orders(orders: np.ndarray) -> dict[int, int]:
+    """Map from element order to count, for an array of element orders."""
+    counts = np.bincount(orders)
+    present = counts.nonzero()[0]
+    return dict(zip(present.tolist(), counts[present].tolist()))
+
+
 def _cyclic_order_counts(n: int) -> dict[int, int]:
     # order of residue a in Z_n is n / gcd(a, n); evaluated for every residue
     residues = np.arange(n, dtype=np.int64)
-    orders = n // np.gcd(residues, n)
-    values, counts = np.unique(orders, return_counts=True)
-    return {int(d): int(c) for d, c in zip(values, counts)}
+    return _count_orders(n // np.gcd(residues, n))
 
 
 class CyclicGroup(Group):
@@ -286,8 +431,20 @@ class CyclicGroup(Group):
             raise RealizationError(f"{x!r} is not a residue mod {self.n}")
 
     def elements(self):
-        _require_enumerable(self)
+        self.require_enumerable()
         return iter(range(self.n))
+
+    def _decode(self, idx):
+        return idx.astype(np.int64)
+
+    def _encode(self, batch):
+        return batch
+
+    def _batch_multiply(self, x, y):
+        return (x + y) % self.n
+
+    def _unpack(self, batch):
+        return batch.tolist()
 
     def element_order(self, x):
         return self.n // math.gcd(x, self.n)
@@ -299,7 +456,7 @@ class CyclicGroup(Group):
         return ("cyclic", self.n)
 
     def _compute_spectrum(self):
-        _require_enumerable(self)
+        self.require_enumerable()
         return OrderSpectrum(_cyclic_order_counts(self.n), self.n)
 
 
@@ -347,8 +504,22 @@ class AbelianGroup(Group):
             raise RealizationError(f"{x!r} is not a residue tuple for moduli {self.moduli}")
 
     def elements(self):
-        _require_enumerable(self)
+        self.require_enumerable()
         return _iproduct(*[range(m) for m in self.moduli])
+
+    # batches: one array of residues per cyclic factor
+
+    def _decode(self, idx):
+        return np.unravel_index(idx, self.moduli)
+
+    def _encode(self, batch):
+        return np.ravel_multi_index(batch, self.moduli)
+
+    def _batch_multiply(self, x, y):
+        return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
+
+    def _unpack(self, batch):
+        return list(zip(*(a.tolist() for a in batch)))
 
     def element_order(self, x):
         out = 1
@@ -365,14 +536,13 @@ class AbelianGroup(Group):
     def _compute_spectrum(self):
         # still exhaustive: the order of every single element is evaluated,
         # just in vectorized batches
-        _require_enumerable(self)
+        self.require_enumerable()
         acc = np.ones(1, dtype=np.int64)
         for m in self.moduli:
             residues = np.arange(m, dtype=np.int64)
             ords = m // np.gcd(residues, m)
             acc = np.lcm.outer(acc, ords).ravel()
-        values, counts = np.unique(acc, return_counts=True)
-        return OrderSpectrum({int(d): int(c) for d, c in zip(values, counts)}, self.order)
+        return OrderSpectrum(_count_orders(acc), self.order)
 
 
 class MetacyclicGroup(Group):
@@ -405,7 +575,7 @@ class MetacyclicGroup(Group):
             self.kind = kind
         self.m, self.n, self.s, self.r = m, n, s, r
         self._rpow = tuple(pow(r, k, m) for k in range(n))
-        self._order_cache: dict = {}
+        self._rpow_array = np.array(self._rpow, dtype=np.int64)
 
     def identity(self):
         return (0, 0)
@@ -432,15 +602,26 @@ class MetacyclicGroup(Group):
             )
 
     def elements(self):
-        _require_enumerable(self)
+        self.require_enumerable()
         return ((i, j) for i in range(self.n) for j in range(self.m))
 
-    def element_order(self, x):
-        cached = self._order_cache.get(x)
-        if cached is None:
-            cached = super().element_order(x)
-            self._order_cache[x] = cached
-        return cached
+    # batches: the arrays (i, j) of the normal forms b^i a^j
+
+    def _decode(self, idx):
+        return np.divmod(idx.astype(np.int64), self.m)
+
+    def _encode(self, batch):
+        i, j = batch
+        return i * self.m + j
+
+    def _batch_multiply(self, x, y):
+        (i, j), (k, l) = x, y
+        t = i + k
+        wrap = t >= self.n
+        return t - self.n * wrap, (j * self._rpow_array[k] + l + self.s * wrap) % self.m
+
+    def _unpack(self, batch):
+        return list(zip(batch[0].tolist(), batch[1].tolist()))
 
     def is_abelian(self):
         return self.m <= 1 or self.r == 1
@@ -472,6 +653,8 @@ class PGroupP(Group):
         self.p, self.q, self.n, self.t = p, q, n, t
         self.dim = n - 1
         self._tpow = tuple(pow(t, c, p) for c in range(q))
+        self._tpow_array = np.array(self._tpow, dtype=np.int64)
+        self._shape = (q,) + (p,) * self.dim
 
     def identity(self):
         return ((0,) * self.dim, 0)
@@ -496,12 +679,29 @@ class PGroupP(Group):
             raise RealizationError(f"{x!r} is not a (vector, c) pair for {self.name}")
 
     def elements(self):
-        _require_enumerable(self)
+        self.require_enumerable()
         return (
             (v, c)
             for c in range(self.q)
             for v in _iproduct(*[range(self.p)] * self.dim)
         )
+
+    # batches: the array of c followed by one array per vector coordinate
+
+    def _decode(self, idx):
+        return np.unravel_index(idx, self._shape)
+
+    def _encode(self, batch):
+        return np.ravel_multi_index(batch, self._shape)
+
+    def _batch_multiply(self, x, y):
+        tc = self._tpow_array[x[0]]
+        return ((x[0] + y[0]) % self.q,
+                *((a + tc * b) % self.p for a, b in zip(x[1:], y[1:])))
+
+    def _unpack(self, batch):
+        vectors = zip(*(a.tolist() for a in batch[1:]))
+        return [(v, c) for c, v in zip(batch[0].tolist(), vectors)]
 
     def is_abelian(self):
         return False
@@ -542,8 +742,53 @@ def _perm_is_even(images: tuple) -> bool:
     return (n - cycles) % 2 == 0
 
 
+def _lehmer_digits(ranks: np.ndarray, degree: int) -> np.ndarray:
+    """Lehmer codes of the permutations at the given lexicographic ranks.
+
+    Row i of the result holds digit i of every code: the number of later
+    entries smaller than entry i, read off the rank in the factorial number
+    system.
+    """
+    ranks = ranks.astype(np.int64)
+    digits = np.empty((degree, len(ranks)), dtype=np.uint8)
+    for i in range(degree):
+        digits[i], ranks = np.divmod(ranks, math.factorial(degree - 1 - i))
+    return digits
+
+
+def _lehmer_to_perms(digits: np.ndarray) -> np.ndarray:
+    """Permutation batch from Lehmer codes, in place, right to left."""
+    for i in range(len(digits) - 2, -1, -1):
+        tail = digits[i + 1:]
+        tail += tail >= digits[i]
+    return digits
+
+
+def _lex_ranks(perms: np.ndarray) -> np.ndarray:
+    """Lexicographic ranks of a permutation batch of degree at most 20."""
+    degree, n = perms.shape
+    ranks = np.zeros(n, dtype=np.int64)
+    smaller = np.empty(n, dtype=np.uint8)
+    for i in range(degree - 1):
+        smaller[:] = 0
+        for j in range(i + 1, degree):
+            smaller += perms[j] < perms[i]
+        ranks += smaller * np.int64(math.factorial(degree - 1 - i))
+    return ranks
+
+
+def _row_keys(perms: np.ndarray) -> np.ndarray:
+    """One opaque, sortable key per permutation of a batch."""
+    rows = np.ascontiguousarray(perms.T)
+    return rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize))).ravel()
+
+
 class _PermutationBase(Group):
-    """Shared arithmetic for groups whose elements are image tuples."""
+    """Shared arithmetic for groups whose elements are image tuples.
+
+    A batch is a (degree, count) array: column r holds the images of the
+    points under the r-th permutation.
+    """
 
     def __init__(self, degree: int, order: int, name: str):
         super().__init__(order, name)
@@ -567,6 +812,25 @@ class _PermutationBase(Group):
     def element_order(self, x):
         return _perm_order(x)
 
+    def _batch_multiply(self, x, y):
+        # column r of the product maps i to x[y[i, r], r]
+        n = y.shape[1]
+        at = y.astype(np.intp)
+        at *= n
+        at += np.arange(n)
+        return x.ravel().take(at)
+
+    def _unpack(self, batch):
+        return list(map(tuple, batch.T.tolist()))
+
+
+def _require_degree_enumerable(group, label: str) -> None:
+    if group.n > PERMUTATION_ENUM_LIMIT:
+        raise ResourceLimitError(
+            f"element enumeration of {label} is capped at n = {PERMUTATION_ENUM_LIMIT}; "
+            f"got n = {group.n}"
+        )
+
 
 class SymmetricGroup(_PermutationBase):
     kind = "symmetric"
@@ -577,14 +841,21 @@ class SymmetricGroup(_PermutationBase):
         super().__init__(n, math.factorial(n), f"S{n}")
         self.n = n
 
+    def require_enumerable(self):
+        _require_degree_enumerable(self, "S_n")
+        super().require_enumerable()
+
     def elements(self):
-        if self.n > PERMUTATION_ENUM_LIMIT:
-            raise ResourceLimitError(
-                f"element enumeration of S_n is capped at n = {PERMUTATION_ENUM_LIMIT}; "
-                f"got n = {self.n}"
-            )
-        _require_enumerable(self)
+        self.require_enumerable()
         return _permutations(range(self.n))
+
+    # indices are lexicographic ranks, the order of elements()
+
+    def _decode(self, idx):
+        return _lehmer_to_perms(_lehmer_digits(idx, self.n))
+
+    def _encode(self, batch):
+        return _lex_ranks(batch)
 
     def is_abelian(self):
         return self.n <= 2
@@ -614,14 +885,26 @@ class AlternatingGroup(_PermutationBase):
         super().__init__(n, math.factorial(n) // 2, f"A{n}")
         self.n = n
 
+    def require_enumerable(self):
+        _require_degree_enumerable(self, "A_n")
+        super().require_enumerable()
+
     def elements(self):
-        if self.n > PERMUTATION_ENUM_LIMIT:
-            raise ResourceLimitError(
-                f"element enumeration of A_n is capped at n = {PERMUTATION_ENUM_LIMIT}; "
-                f"got n = {self.n}"
-            )
-        _require_enumerable(self)
+        self.require_enumerable()
         return (p for p in _permutations(range(self.n)) if _perm_is_even(p))
+
+    # The permutations of lexicographic ranks 2i and 2i + 1 differ by a swap
+    # of the last two points, so exactly one of them is even, and it is the
+    # i-th element of elements().  Rank 2i has Lehmer digit 0 at position
+    # n - 2; setting that digit to the parity of the others picks the even one.
+
+    def _decode(self, idx):
+        digits = _lehmer_digits(2 * idx.astype(np.int64), self.n)
+        digits[-2] = digits.sum(axis=0) & 1
+        return _lehmer_to_perms(digits)
+
+    def _encode(self, batch):
+        return _lex_ranks(batch) // 2
 
     def validate_element(self, x):
         super().validate_element(x)
@@ -668,6 +951,7 @@ class PermutationClosureGroup(_PermutationBase):
                 raise IntegrityError(f"{g!r} is not a permutation of 0..{degree - 1}")
         self.generators = tuple(gens)
         self._closure: Optional[list] = None
+        self._rows = None  # (batch of all elements, sorted keys, argsort of keys)
         self._expected_order = expected_order
         if expected_order is None:
             # closure is the only way to learn the order
@@ -712,8 +996,28 @@ class PermutationClosureGroup(_PermutationBase):
         return self._closure
 
     def elements(self):
-        _require_enumerable(self)
+        self.require_enumerable()
         return iter(self.closure())
+
+    def _row_index(self):
+        if self._rows is None:
+            dtype = np.uint8 if self.degree <= 256 else np.int32
+            rows = np.array(self.closure(), dtype=dtype).T.copy()
+            keys = _row_keys(rows)
+            by_key = np.argsort(keys)
+            self._rows = (rows, keys[by_key], by_key)
+        return self._rows
+
+    def _decode(self, idx):
+        return self._row_index()[0][:, idx]
+
+    def _encode(self, batch):
+        _, sorted_keys, by_key = self._row_index()
+        keys = _row_keys(batch)
+        at = np.searchsorted(sorted_keys, keys).clip(max=len(sorted_keys) - 1)
+        if not np.array_equal(sorted_keys[at], keys):
+            raise IntegrityError(f"a product left the closure of {self.name}")
+        return by_key[at]
 
     def is_abelian(self):
         return all(
@@ -753,9 +1057,30 @@ class DirectProductGroup(Group):
         for f, a in zip(self.factors, x):
             f.validate_element(a)
 
+    def require_enumerable(self):
+        super().require_enumerable()
+        for f in self.factors:
+            f.require_enumerable()
+
     def elements(self):
-        _require_enumerable(self)
+        self.require_enumerable()
         return _iproduct(*[f.elements() for f in self.factors])
+
+    # batches: one batch per factor
+
+    def _decode(self, idx):
+        parts = np.unravel_index(idx, [f.order for f in self.factors])
+        return tuple(f._decode(part) for f, part in zip(self.factors, parts))
+
+    def _encode(self, batch):
+        parts = tuple(f._encode(b) for f, b in zip(self.factors, batch))
+        return np.ravel_multi_index(parts, [f.order for f in self.factors])
+
+    def _batch_multiply(self, x, y):
+        return tuple(f._batch_multiply(a, b) for f, a, b in zip(self.factors, x, y))
+
+    def _unpack(self, batch):
+        return list(zip(*(f._unpack(b) for f, b in zip(self.factors, batch))))
 
     def element_order(self, x):
         out = 1
@@ -820,13 +1145,14 @@ class CayleyTableGroup(Group):
                 raise IntegrityError(f"index 0 is not a left identity at column {j}")
             if rows[j][0] != j:
                 raise IntegrityError(f"index 0 is not a right identity at row {j}")
-        self._check_associativity(rows, n)
+        arr = np.array(rows, dtype=np.intp)  # gathers index with intp natively
+        self._check_associativity(arr, n)
         super().__init__(n, name)
         self.table = rows
+        self._array = arr
 
     @staticmethod
-    def _check_associativity(rows, n):
-        arr = np.array(rows, dtype=np.int64)
+    def _check_associativity(arr, n):
         for i in range(n):
             # (i*j)*k vs i*(j*k) for all j, k at once
             left = arr[arr[i, :], :]
@@ -848,15 +1174,20 @@ class CayleyTableGroup(Group):
             raise RealizationError(f"{x!r} is not a table index below {self.order}")
 
     def elements(self):
-        _require_enumerable(self)
+        self.require_enumerable()
         return iter(range(self.order))
 
-    def element_order(self, x):
-        t, y = 1, x
-        while y != 0:
-            y = self.table[y][x]
-            t += 1
-        return t
+    def _decode(self, idx):
+        return idx
+
+    def _encode(self, batch):
+        return batch
+
+    def _batch_multiply(self, x, y):
+        return self._array[x, y]
+
+    def _unpack(self, batch):
+        return batch.tolist()
 
     def is_abelian(self):
         return all(
@@ -893,22 +1224,12 @@ def enumerate_elements(group: Group) -> Iterator:
 
 
 def spectrum_by_enumeration(group: Group) -> OrderSpectrum:
-    """Brute-force spectrum: walk the element stream and count orders.
+    """Brute-force spectrum: the order of every element, counted.
 
-    This is the oracle path; it never consults structural shortcuts.
+    This is the oracle path: the orders come from the order engine, which
+    uses the group law alone and never consults structural shortcuts.
     """
-    _require_enumerable(group)
-    counts: Counter = Counter()
-    total = 0
-    for x in group.elements():
-        counts[group.element_order(x)] += 1
-        total += 1
-    if total != group.order:
-        raise IntegrityError(
-            f"enumeration of {group.name} yielded {total} elements, "
-            f"declared order is {group.order}"
-        )
-    return OrderSpectrum(dict(counts), group.order)
+    return OrderSpectrum(_count_orders(group.element_orders()), group.order)
 
 
 def order_spectrum(group: Group) -> OrderSpectrum:
@@ -952,17 +1273,16 @@ def commuting_witness(group: Group) -> Optional[list]:
     tuple exists.  The product of a witness has order exp(G), so a witness
     exists exactly when the exponent is attained.
     """
-    _require_enumerable(group)
-    by_order: dict[int, list] = {}
-    exp = 1
-    for x in group.elements():
-        d = group.element_order(x)
-        exp = math.lcm(exp, d)
-        by_order.setdefault(d, []).append(x)
+    orders = group.element_orders()
+    exp = int(np.lcm.reduce(orders))
     targets = sorted(p**a for p, a in factorize(exp).items())
     if not targets:
         return []
-    buckets = [by_order[t] for t in targets]
+    # candidates in elements() order, decoded in one batch
+    picks = [np.flatnonzero(orders == t) for t in targets]
+    candidates = group.payloads(np.concatenate(picks))
+    ends = list(accumulate(len(pick) for pick in picks))
+    buckets = [candidates[end - len(pick):end] for pick, end in zip(picks, ends)]
     # search smallest candidate sets first; remember where each target goes
     search_order = sorted(range(len(targets)), key=lambda i: len(buckets[i]))
     chosen: list = [None] * len(targets)

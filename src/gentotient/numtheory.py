@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -71,9 +73,9 @@ def lcm_all(values) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
-def factorial_factorization(n: int) -> dict[int, int]:
-    """Factorization of n! via Legendre's prime-power counting."""
+@lru_cache(maxsize=256)
+def factorial_factorization(n: int) -> Mapping[int, int]:
+    """Factorization of n! via Legendre's prime-power counting (read-only)."""
     out: dict[int, int] = {}
     for p in range(2, n + 1):
         if not is_prime(p):
@@ -83,7 +85,7 @@ def factorial_factorization(n: int) -> dict[int, int]:
             a += n // q
             q *= p
         out[p] = a
-    return out
+    return MappingProxyType(out)
 
 
 def multiplicative_order(a: int, m: int) -> int:

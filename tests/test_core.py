@@ -18,7 +18,7 @@ from gentotient.core import (
     spectrum_by_enumeration,
 )
 from gentotient.closedforms import valid_metacyclic_presentations
-from gentotient.numtheory import euler_phi, factorize
+from gentotient.numtheory import euler_phi, factorial_factorization, factorize
 
 
 def small_catalog():
@@ -226,6 +226,19 @@ def test_spectrum_rejects_corrupt_counts():
         OrderSpectrum({1: 2, 2: 1}, 3)  # two identities
     with pytest.raises(IntegrityError):
         OrderSpectrum({1: 1, 3: 3}, 4)  # 3 not a multiple of phi(3)
+
+
+def test_cached_spectrum_entries_are_read_only():
+    g = gt.cyclic(12)
+    with pytest.raises(TypeError):
+        g.spectrum().entries[12] = 99
+    assert gt.phi(g) == 4
+
+
+def test_factorial_factorization_is_read_only():
+    with pytest.raises(TypeError):
+        factorial_factorization(6)[2] = 10
+    assert gt.report(fam.alternating(6)).phi_of_order == 96
 
 
 def test_lcm_convolve_commutes():
