@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -50,6 +51,9 @@ class ExpressionError(ValueError):
     pass
 
 
+_ID = r"[\w.-]+"  # what @id accepts as an id
+
+
 _FACTOR_PATTERNS = [
     (re.compile(r"^M11$"), lambda m, reg: families.mathieu11()),
     (re.compile(r"^Z(\d+)\^(\d+)$"), lambda m, reg: _power_of_cyclic(int(m.group(1)), int(m.group(2)))),
@@ -64,7 +68,7 @@ _FACTOR_PATTERNS = [
     (re.compile(r"^P\((\d+),(\d+),(\d+)\)$"),
      lambda m, reg: families.p_group_P(*(int(x) for x in m.groups()))),
     (re.compile(r"^Ab\(([0-9:,;]+)\)$"), lambda m, reg: _parse_abelian(m.group(1))),
-    (re.compile(r"^@([\w.-]+)$"), lambda m, reg: _load_registered(m.group(1), reg)),
+    (re.compile(rf"^@({_ID})$"), lambda m, reg: _load_registered(m.group(1), reg)),
 ]
 
 
@@ -139,9 +143,30 @@ def parse_group_expression(expr: str, registry_path: Path = None) -> Group:
 
 
 def _read_registry(path: Path) -> dict:
-    if path.exists():
-        return json.loads(path.read_text())
-    return {}
+    if not path.exists():
+        return {}
+    try:
+        registry = json.loads(path.read_text())
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise IntegrityError(f"cannot read registry {path}: {exc}") from exc
+    if not isinstance(registry, dict):
+        raise IntegrityError(f"registry {path} is not a JSON object")
+    return registry
+
+
+def _write_registry(path: Path, registry: dict) -> None:
+    """Replace the registry file in one step, so a reader never sees half of it."""
+    # indent would switch json to its pure-Python encoder, several times slower
+    text = json.dumps(registry, sort_keys=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+_ENTRY_FIELD = {"cayley-table": "table", "permutation-generators": "generators"}
 
 
 def _load_registered(group_id: str, registry_path: Path = None) -> Group:
@@ -150,15 +175,23 @@ def _load_registered(group_id: str, registry_path: Path = None) -> Group:
     if group_id not in registry:
         raise ExpressionError(f"no imported group @{group_id} in {path}")
     entry = registry[group_id]
-    if entry["type"] == "cayley-table":
-        return CayleyTableGroup(entry["table"], name=f"@{group_id}")
-    if entry["type"] == "permutation-generators":
+    name = f"@{group_id}"
+    kind = entry.get("type") if isinstance(entry, dict) else None
+    if kind not in _ENTRY_FIELD:
+        problem = "lacks 'type'" if kind is None else f"has unknown type {kind!r}"
+        raise IntegrityError(f"registry {path}: entry {name} {problem}")
+    if _ENTRY_FIELD[kind] not in entry:
+        raise IntegrityError(f"registry {path}: entry {name} lacks {_ENTRY_FIELD[kind]!r}")
+    try:
+        if kind == "cayley-table":
+            return CayleyTableGroup(entry["table"], name=name)
         return PermutationClosureGroup(
             [tuple(g) for g in entry["generators"]],
             expected_order=entry.get("order"),
-            name=f"@{group_id}",
+            name=name,
         )
-    raise ExpressionError(f"registry entry @{group_id} has unknown type {entry['type']}")
+    except IntegrityError as exc:
+        raise IntegrityError(f"registry {path}: entry {name}: {exc}") from exc
 
 
 def import_group_file(path: Path, group_id: str, registry_path: Path) -> Group:
@@ -167,9 +200,15 @@ def import_group_file(path: Path, group_id: str, registry_path: Path) -> Group:
     Table files: {"order": n, "table": [[...]]}, 0-indexed, index 0 = identity.
     Generator files: JSON list of image arrays on points 0..d-1.
     """
+    # `x` separates the factors of a product, so @id cannot name an id with it
+    if not re.fullmatch(_ID, group_id) or "x" in group_id:
+        raise ExpressionError(
+            f"@{group_id} could not be referenced: an id takes letters, digits, "
+            f"'_', '.' and '-', but no 'x' (choose one with --id)"
+        )
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"cannot read {path}: {exc}") from exc
     if isinstance(data, dict) and "table" in data:
         table = data["table"]
@@ -179,7 +218,8 @@ def import_group_file(path: Path, group_id: str, registry_path: Path) -> Group:
                 f"declared order {declared} but table has {len(table)} rows"
             )
         group = CayleyTableGroup(table, name=f"@{group_id}")
-        entry = {"type": "cayley-table", "table": group.table}
+        # the validated rows as read; group.table would copy every entry
+        entry = {"type": "cayley-table", "table": table}
     elif isinstance(data, list):
         group = PermutationClosureGroup([tuple(g) for g in data], name=f"@{group_id}")
         entry = {
@@ -193,7 +233,7 @@ def import_group_file(path: Path, group_id: str, registry_path: Path) -> Group:
         )
     registry = _read_registry(registry_path)
     registry[group_id] = entry
-    registry_path.write_text(json.dumps(registry, indent=1, sort_keys=True))
+    _write_registry(registry_path, registry)
     return group
 
 

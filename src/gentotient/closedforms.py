@@ -10,13 +10,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from itertools import combinations
+from types import MappingProxyType
+from typing import Iterator, Mapping, Sequence
 
 from .numtheory import euler_phi, factorize, is_prime
 
 
 # ---------------------------------------------------------------------------
-# integer partitions / cycle types
+# integer partitions and the cycle-type engine
 # ---------------------------------------------------------------------------
 
 
@@ -56,7 +58,10 @@ class Partition:
 def _partition_tuples(n: int, max_part: int = None) -> Iterator[tuple]:
     """Partitions of n as nonincreasing tuples, reverse-lexicographic order.
 
-    Streamed, never materialized; p(40) = 37338 keeps this comfortable.
+    Streamed, never materialized.  The abelian types come from these; the
+    S_n/A_n spectra count over element orders instead (p(40) = 37338
+    partitions against 495 orders), and the tests sum over these partitions
+    as the reference for that count.
     """
     if max_part is None or max_part > n:
         max_part = n
@@ -75,47 +80,95 @@ def partitions(n: int) -> Iterator[Partition]:
     return (Partition(t) for t in _partition_tuples(n))
 
 
-def _cycle_type_count(n_factorial: int, parts: tuple) -> int:
-    """Permutations of S_n with the given cycle type: n! / prod k^(m_k) m_k!."""
-    centralizer = 1
-    mult: dict[int, int] = {}
-    for p in parts:
-        mult[p] = mult.get(p, 0) + 1
-    for k, m in mult.items():
-        centralizer *= k**m * math.factorial(m)
-    return n_factorial // centralizer
+def _element_orders_symmetric(n: int) -> list[int]:
+    """Orders of the elements of S_n: the d whose prime-power parts sum to <= n.
+
+    A permutation of order d needs a cycle for each prime-power part of d, so
+    the set is closed under divisors.
+    """
+    support = {1: 0}  # order -> points its prime-power cycles take
+    for p in range(2, n + 1):
+        if not is_prime(p):
+            continue
+        grown = dict(support)
+        q = p
+        while q <= n:
+            for d, used in support.items():
+                if used + q <= n:
+                    grown[d * q] = used + q
+            q *= p
+        support = grown
+    return sorted(support)
 
 
-@lru_cache(maxsize=None)
-def symmetric_order_spectrum(n: int) -> dict[int, int]:
-    """Element count per order in S_n, summed over cycle types."""
+def _solution_count(n: int, cycle_lengths: list[int], ways: list[list[int]]) -> int:
+    """a(n) for a(m) = sum over k in cycle_lengths, k <= m, of ways[m][k] a(m-k).
+
+    With ways[m][k] = (m-1)!/(m-k)!, the k-cycles through point m, a(n) counts
+    the permutations of n points whose cycle lengths are all in cycle_lengths
+    (Chowla, Herstein & Moore 1951).
+    """
+    a = [1]
+    for m in range(1, n + 1):
+        row = ways[m]
+        total = 0
+        for k in cycle_lengths:
+            if k > m:
+                break
+            total += row[k] * a[m - k]
+        a.append(total)
+    return a[n]
+
+
+def _cycle_order_spectrum(n: int, even_only: bool) -> dict[int, int]:
+    """Element count per order in S_n, or in A_n when even_only is set.
+
+    For each element order d, the recurrence counts the solutions of x^d = 1;
+    Moebius inversion over the primes of d leaves the elements of order d.
+    In A_n the count is (plain + signed) / 2, where the signed pass weighs each
+    k-cycle by its sign (-1)^(k-1).
+    """
+    ways = [[0] * (m + 1) for m in range(n + 1)]
+    for m in range(1, n + 1):
+        row = ways[m]
+        row[1] = 1
+        for k in range(2, m + 1):
+            row[k] = row[k - 1] * (m - k + 1)
+    signed = [[-w if k % 2 == 0 else w for k, w in enumerate(row)] for row in ways]
+    solutions: dict[int, int] = {}
+    for d in _element_orders_symmetric(n):
+        cycle_lengths = [k for k in range(1, n + 1) if d % k == 0]
+        count = _solution_count(n, cycle_lengths, ways)
+        # an odd d has odd cycles only, and those are all even permutations
+        if even_only and d % 2 == 0:
+            count = (count + _solution_count(n, cycle_lengths, signed)) // 2
+        solutions[d] = count
+    out: dict[int, int] = {}
+    for d in solutions:
+        primes = list(factorize(d))
+        exact = sum((-1) ** r * solutions[d // math.prod(dropped)]
+                    for r in range(len(primes) + 1)
+                    for dropped in combinations(primes, r))
+        if exact:
+            out[d] = exact
+    return out
+
+
+# degrees up to core.PARTITION_ENGINE_LIMIT = 40 all fit in each cache
+@lru_cache(maxsize=64)
+def symmetric_order_spectrum(n: int) -> Mapping[int, int]:
+    """Element count per order in S_n (read-only)."""
     if n < 0:
         raise ValueError(f"need n >= 0, got {n}")
-    nf = math.factorial(n)
-    out: dict[int, int] = {}
-    for parts in _partition_tuples(n):
-        d = 1
-        for p in set(parts):
-            d = math.lcm(d, p)
-        out[d] = out.get(d, 0) + _cycle_type_count(nf, parts)
-    return out
+    return MappingProxyType(_cycle_order_spectrum(n, even_only=False))
 
 
-@lru_cache(maxsize=None)
-def alternating_order_spectrum(n: int) -> dict[int, int]:
-    """Element count per order in A_n (even cycle types only)."""
+@lru_cache(maxsize=64)
+def alternating_order_spectrum(n: int) -> Mapping[int, int]:
+    """Element count per order in A_n (read-only)."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    nf = math.factorial(n)
-    out: dict[int, int] = {}
-    for parts in _partition_tuples(n):
-        if (n - len(parts)) % 2 != 0:
-            continue
-        d = 1
-        for p in set(parts):
-            d = math.lcm(d, p)
-        out[d] = out.get(d, 0) + _cycle_type_count(nf, parts)
-    return out
+    return MappingProxyType(_cycle_order_spectrum(n, even_only=True))
 
 
 def count_order_symmetric(n: int, m: int) -> int:

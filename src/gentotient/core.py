@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from itertools import permutations as _permutations
 from itertools import product as _iproduct
@@ -43,7 +44,7 @@ MAX_ELEMENTS_ENV = "GENTOTIENT_MAX_ELEMENTS"
 
 PERMUTATION_ENUM_LIMIT = 10  # S_n / A_n element streams only up to here
 PARTITION_ENGINE_LIMIT = 40  # S_n / A_n spectra via cycle types up to here
-CAYLEY_TABLE_LIMIT = 512     # full associativity check is O(n^3)
+CAYLEY_TABLE_LIMIT = 512     # validation holds a few n^2 arrays at once
 ENGINE_CHUNK = 1 << 13       # elements per batch while building power maps
 
 
@@ -82,6 +83,14 @@ def _index_dtype(order: int):
     return np.int32 if order < 2**31 else np.int64
 
 
+@lru_cache(maxsize=4096)
+def _totient_and_primes(d: int) -> tuple[int, tuple[int, ...]]:
+    """phi(d) and the primes dividing d, cached: spectra checked again and
+    again, such as those of S_n or of products, share most of their orders."""
+    factors = factorize(d)
+    return euler_phi_from_factorization(factors), tuple(factors)
+
+
 @dataclass(frozen=True)
 class OrderSpectrum:
     """Exact map from element order to the count of elements of that order."""
@@ -109,8 +118,8 @@ class OrderSpectrum:
         for d, count in entries.items():
             if d < 1 or count < 0:
                 raise IntegrityError(f"bad spectrum entry {d}: {count}")
-            primes = factorize(d)
-            if count % euler_phi_from_factorization(primes) != 0:
+            phi_d, primes = _totient_and_primes(d)
+            if count % phi_d != 0:
                 raise IntegrityError(
                     f"count {count} at order {d} is not a multiple of phi({d})"
                 )
@@ -1108,11 +1117,71 @@ class DirectProductGroup(Group):
         return spec
 
 
+def _table_array(table, n: int) -> np.ndarray:
+    """The table as an n x n intp array, once every entry is an int in 0..n-1."""
+    try:
+        arr = np.array(table)
+    except (TypeError, ValueError):  # ragged or unconvertible rows
+        arr = None
+    if (arr is not None and arr.shape == (n, n) and arr.dtype.kind in "iub"
+            and arr.min() >= 0 and arr.max() < n):
+        return arr.astype(np.intp, copy=False)  # gathers index with intp natively
+    # name the first bad row or entry, scanning in row order
+    for i, row in enumerate(table):
+        row = list(row)
+        if len(row) != n:
+            raise IntegrityError(f"row {i} has length {len(row)}, expected {n}")
+        for j, v in enumerate(row):
+            if not isinstance(v, (int, np.integer)) or not 0 <= v < n:
+                raise IntegrityError(f"entry at row {i}, column {j} is {v!r}")
+    raise IntegrityError("table entries are not integers below the side")
+
+
+def _magma_generators(arr: np.ndarray) -> list[int]:
+    """Indices that generate the table under products, picked greedily.
+
+    Each pick is the smallest index outside the submagma generated so far,
+    which is then closed under products of its members.  Index 0, the
+    identity, starts inside.  In a group each pick at least doubles the
+    subgroup generated so far, so a group of order n needs at most log2(n).
+    """
+    inside = np.zeros(len(arr), dtype=bool)
+    inside[0] = True
+    picks = []
+    while not inside.all():
+        pick = int(np.argmin(inside))
+        picks.append(pick)
+        inside[pick] = True
+        while True:
+            members = np.flatnonzero(inside)
+            inside[arr[np.ix_(members, members)]] = True
+            if np.count_nonzero(inside) == len(members):
+                break
+    return picks
+
+
+def _check_associativity(arr: np.ndarray) -> None:
+    """Light's test: (xy)s = x(ys) for all x, y and each generator s.
+
+    The s that pass for every x, y are closed under products:
+    (xy)(ab) = ((xy)a)b = (x(ya))b = x((ya)b) = x(y(ab)), so checking a
+    generating set checks the whole table.  The identity passes trivially.
+    """
+    for k in _magma_generators(arr):
+        column = arr[:, k]
+        left = column.take(arr)             # [i, j] -> (i*j)*k
+        right = arr.take(column, axis=1)    # [i, j] -> i*(j*k)
+        if not np.array_equal(left, right):
+            i, j = np.argwhere(left != right)[0]
+            raise IntegrityError(f"associativity fails at ({i}*{j})*{k} != {i}*({j}*{k})")
+
+
 class CayleyTableGroup(Group):
     """Group given by an explicit multiplication table over indices 0..n-1.
 
     Index 0 must be the identity.  The table is fully validated on import:
-    shape, Latin-square property, identity row/column, and associativity.
+    shape, Latin-square property, identity row/column, and associativity
+    (Light's test on a generating set).
     """
 
     kind = "cayley-table"
@@ -1125,43 +1194,36 @@ class CayleyTableGroup(Group):
             raise IntegrityError(
                 f"table side {n} exceeds the validation limit of {CAYLEY_TABLE_LIMIT}"
             )
-        rows = []
-        for i, row in enumerate(table):
-            row = list(row)
-            if len(row) != n:
-                raise IntegrityError(f"row {i} has length {len(row)}, expected {n}")
-            for j, v in enumerate(row):
-                if not isinstance(v, int) or not 0 <= v < n:
-                    raise IntegrityError(f"entry at row {i}, column {j} is {v!r}")
-            rows.append(row)
-        full = set(range(n))
-        for i in range(n):
-            if set(rows[i]) != full:
-                raise IntegrityError(f"row {i} is not a permutation (Latin square fails)")
-            if {rows[j][i] for j in range(n)} != full:
-                raise IntegrityError(f"column {i} is not a permutation (Latin square fails)")
-        for j in range(n):
-            if rows[0][j] != j:
+        arr = _table_array(table, n)
+        full = np.arange(n)
+        # a row or column of in-range entries is a permutation iff it hits
+        # every index
+        hits = np.zeros((n, n), dtype=bool)
+        hits[full[:, None], arr] = True
+        bad_rows = ~hits.all(axis=1)
+        hits[:] = False
+        hits[arr, full] = True
+        bad_cols = ~hits.all(axis=0)
+        # report the first failure in the order row 0, column 0, row 1, ...
+        if bad_rows.any() or bad_cols.any():
+            i = int(np.argmax(bad_rows | bad_cols))
+            line = "row" if bad_rows[i] else "column"
+            raise IntegrityError(f"{line} {i} is not a permutation (Latin square fails)")
+        bad_left = arr[0] != full
+        bad_right = arr[:, 0] != full
+        if bad_left.any() or bad_right.any():
+            j = int(np.argmax(bad_left | bad_right))
+            if bad_left[j]:
                 raise IntegrityError(f"index 0 is not a left identity at column {j}")
-            if rows[j][0] != j:
-                raise IntegrityError(f"index 0 is not a right identity at row {j}")
-        arr = np.array(rows, dtype=np.intp)  # gathers index with intp natively
-        self._check_associativity(arr, n)
+            raise IntegrityError(f"index 0 is not a right identity at row {j}")
+        _check_associativity(arr)
         super().__init__(n, name)
-        self.table = rows
         self._array = arr
 
-    @staticmethod
-    def _check_associativity(arr, n):
-        for i in range(n):
-            # (i*j)*k vs i*(j*k) for all j, k at once
-            left = arr[arr[i, :], :]
-            right = arr[i, :][arr]
-            if not np.array_equal(left, right):
-                j, k = np.argwhere(left != right)[0]
-                raise IntegrityError(
-                    f"associativity fails at ({i}*{j})*{k} != {i}*({j}*{k})"
-                )
+    @cached_property
+    def table(self) -> list[list[int]]:
+        """Rows of the table as lists of Python ints."""
+        return self._array.tolist()
 
     def identity(self):
         return 0
@@ -1190,11 +1252,7 @@ class CayleyTableGroup(Group):
         return batch.tolist()
 
     def is_abelian(self):
-        return all(
-            self.table[i][j] == self.table[j][i]
-            for i in range(self.order)
-            for j in range(i)
-        )
+        return bool(np.array_equal(self._array, self._array.T))
 
     def key(self):
         return ("cayley-table", tuple(tuple(r) for r in self.table))

@@ -263,6 +263,79 @@ def test_missing_registry_entry(tmp_path, capsys):
     assert "ghost" in err
 
 
+def test_import_of_a_file_that_is_not_text_exits_4(tmp_path, capsys):
+    table_file = tmp_path / "q8.json"
+    table_file.write_bytes(b"\xff\xfe\x00")
+    code, _, err = run_cli(capsys, "--registry", str(tmp_path / "r.json"),
+                           "import", str(table_file))
+    assert code == cli.EXIT_INTEGRITY
+    assert str(table_file) in err
+
+
+def test_malformed_registry_exits_4_naming_the_file(tmp_path, capsys):
+    registry = tmp_path / "registry.json"
+    registry.write_text('{"q8": {"type": ')
+    code, _, err = run_cli(capsys, "--registry", str(registry), "eval", "@q8", "phi")
+    assert code == cli.EXIT_INTEGRITY
+    assert str(registry) in err
+    # import reads the registry before writing it back
+    table_file = tmp_path / "one.json"
+    table_file.write_text(json.dumps({"order": 1, "table": [[0]]}))
+    code, _, err = run_cli(capsys, "--registry", str(registry), "import", str(table_file))
+    assert code == cli.EXIT_INTEGRITY
+    assert str(registry) in err
+    assert registry.read_text() == '{"q8": {"type": '
+
+
+@pytest.mark.parametrize("entry, problem", [
+    ({"table": [[0]]}, "lacks 'type'"),
+    ({"type": "cayley-table"}, "lacks 'table'"),
+    ({"type": "lookup", "table": [[0]]}, "unknown type 'lookup'"),
+    ({"type": "cayley-table", "table": [[0, 1], [1, 1]]}, "not a permutation"),
+])
+def test_broken_registry_entry_exits_4_naming_the_file(tmp_path, capsys, entry, problem):
+    registry = tmp_path / "registry.json"
+    registry.write_text(json.dumps({"q": entry}))
+    code, _, err = run_cli(capsys, "--registry", str(registry), "eval", "@q", "phi")
+    assert code == cli.EXIT_INTEGRITY
+    assert str(registry) in err and "@q" in err and problem in err
+
+
+def test_registry_write_is_compact_and_atomic(tmp_path, capsys, monkeypatch):
+    registry = tmp_path / "registry.json"
+    table_file = tmp_path / "q8.json"
+    table_file.write_text(json.dumps({"order": 8, "table": q8_table()}))
+    assert run_cli(capsys, "--registry", str(registry), "import", str(table_file))[0] == 0
+    text = registry.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q8.json", "registry.json"]
+
+    # a write that fails before the rename leaves the old registry whole
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError):
+        cli.import_group_file(table_file, "other", registry)
+    assert registry.read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q8.json", "registry.json"]
+
+
+@pytest.mark.parametrize("group_id", ["box", "a b", "q(8)", "q8+"])
+def test_import_refuses_an_id_that_at_id_cannot_name(tmp_path, capsys, group_id):
+    registry = tmp_path / "registry.json"
+    table_file = tmp_path / "box.json"
+    table_file.write_text(json.dumps({"order": 1, "table": [[0]]}))
+    args = ["--registry", str(registry), "import", str(table_file)]
+    code, _, err = run_cli(capsys, *args, *([] if group_id == "box" else ["--id", group_id]))
+    assert code == cli.EXIT_USAGE
+    assert f"@{group_id}" in err
+    assert not registry.exists()
+    assert run_cli(capsys, *args, "--id", "b0")[0] == 0
+    code, out, _ = run_cli(capsys, "--registry", str(registry), "eval", "@b0", "phi")
+    assert (code, out) == (0, "1\n")
+
+
 # -- module entry point -----------------------------------------------------------
 
 

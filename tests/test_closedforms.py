@@ -1,14 +1,16 @@
 """Closed formulas against independent oracles: brute counts and enumeration."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gentotient as gt
 from gentotient import closedforms as cf
 from gentotient import families as fam
-from gentotient.core import spectrum_by_enumeration
+from gentotient.core import PARTITION_ENGINE_LIMIT, ResourceLimitError, spectrum_by_enumeration
 from gentotient.numtheory import euler_phi, multiplicative_order
 
 
@@ -173,6 +175,54 @@ def test_cycle_type_totals():
         assert sum(alt.values()) == odd_total  # half the permutations are even
         for m, count in alt.items():
             assert count <= sym[m]
+
+
+def partition_sums(n):
+    """S_n and A_n spectra summed class by class over the partitions of n."""
+    sym, alt = {}, {}
+    for parts in cf._partition_tuples(n):
+        centralizer = math.prod(k**m * math.factorial(m) for k, m in Counter(parts).items())
+        count = math.factorial(n) // centralizer
+        d = math.lcm(*parts)
+        sym[d] = sym.get(d, 0) + count
+        if (n - len(parts)) % 2 == 0:
+            alt[d] = alt.get(d, 0) + count
+    return sym, alt
+
+
+@pytest.mark.parametrize("n", range(0, 41))
+def test_cycle_type_engine_equals_partition_sums(n):
+    sym, alt = partition_sums(n)
+    assert cf.symmetric_order_spectrum(n) == sym
+    if n >= 2:
+        assert cf.alternating_order_spectrum(n) == alt
+
+
+def test_cycle_type_spectra_are_read_only_and_bounded():
+    for engine in (cf.symmetric_order_spectrum, cf.alternating_order_spectrum):
+        with pytest.raises(TypeError):
+            engine(5)[6] = 99
+        maxsize = engine.cache_info().maxsize
+        assert maxsize is not None and maxsize >= PARTITION_ENGINE_LIMIT + 1
+    # the cached spectrum is untouched, so S5 still checks out
+    assert gt.phi(gt.symmetric(5)) == 0
+    assert gt.order_spectrum(gt.symmetric(5)).entries == {1: 1, 2: 25, 3: 20, 4: 30, 5: 24, 6: 20}
+    # every degree up to the cap fits in the cache at once
+    cf.symmetric_order_spectrum.cache_clear()
+    for _ in range(2):
+        for n in range(PARTITION_ENGINE_LIMIT + 1):
+            cf.symmetric_order_spectrum(n)
+    info = cf.symmetric_order_spectrum.cache_info()
+    assert (info.misses, info.hits) == (PARTITION_ENGINE_LIMIT + 1,) * 2
+
+
+@pytest.mark.parametrize("build, n", [(fam.symmetric, 41), (fam.symmetric, 60),
+                                      (fam.alternating, 41), (fam.alternating, 55)])
+def test_cycle_type_engine_refuses_degrees_over_the_cap(build, n):
+    with pytest.raises(ResourceLimitError) as err:
+        build(n).spectrum()
+    label = "S_n" if build is fam.symmetric else "A_n"
+    assert str(err.value) == f"cycle-type spectra of {label} are capped at n = 40"
 
 
 def test_phi_symmetric_alternating_values():

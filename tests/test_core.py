@@ -369,6 +369,51 @@ def test_cayley_table_rejects_nonassociative_loop():
     assert "associativity" in str(err.value)
 
 
+def _swap_rows(t, a, b):
+    t[a], t[b] = t[b], t[a]
+
+
+def _swap_columns(t, a, b):
+    for row in t:
+        row[a], row[b] = row[b], row[a]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda t: t[2].__setitem__(3, 2.0), "entry at row 2, column 3 is 2.0"),
+    (lambda t: t[5].__setitem__(1, "1"), "entry at row 5, column 1 is '1'"),
+    (lambda t: t[6].__setitem__(7, 8), "entry at row 6, column 7 is 8"),
+    (lambda t: t[1].__setitem__(0, -1), "entry at row 1, column 0 is -1"),
+    (lambda t: t[4].pop(), "row 4 has length 7, expected 8"),
+    # the scan goes row by row, so row 1's entry comes before row 4's length
+    (lambda t: (t[4].pop(), t[1].__setitem__(2, None)), "entry at row 1, column 2 is None"),
+    (lambda t: t[3].__setitem__(4, t[3][5]), "row 3 is not a permutation (Latin square fails)"),
+    (lambda t: _swap_columns(t[5:6], 1, 2), "column 1 is not a permutation (Latin square fails)"),
+    # rows and columns are checked in the order row 0, column 0, row 1, ...
+    (lambda t: (_swap_columns(t[5:6], 2, 3), t[3].__setitem__(6, t[3][7])),
+     "column 2 is not a permutation (Latin square fails)"),
+    (lambda t: (_swap_columns(t[5:6], 4, 5), t[3].__setitem__(6, t[3][7])),
+     "row 3 is not a permutation (Latin square fails)"),
+    (lambda t: _swap_columns(t, 2, 3), "index 0 is not a left identity at column 2"),
+    (lambda t: _swap_rows(t, 3, 6), "index 0 is not a right identity at row 3"),
+    (lambda t: (_swap_rows(t, 5, 6), _swap_columns(t, 5, 6)),
+     "index 0 is not a left identity at column 5"),
+])
+def test_cayley_table_names_the_first_failure(edit, message):
+    table = [row[:] for row in q8_table()]
+    edit(table)
+    with pytest.raises(IntegrityError) as err:
+        CayleyTableGroup(table)
+    assert str(err.value) == message
+
+
+def test_cayley_table_rows_are_python_ints():
+    import numpy as np
+
+    group = CayleyTableGroup(np.array(q8_table(), dtype=np.int16))
+    assert group.table == q8_table()
+    assert all(type(v) is int for row in group.table for v in row)
+
+
 def test_cayley_table_trivial():
     assert CayleyTableGroup([[0]]).spectrum().entries == {1: 1}
 

@@ -1,11 +1,14 @@
 """The order engine: indexed batches and power maps against the payload path."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gentotient.closedforms as cf
+from gentotient import core
 from gentotient import families as fam
 from gentotient.classc import standard_catalog
 from gentotient.core import CayleyTableGroup, Group, IntegrityError, spectrum_by_enumeration
@@ -86,6 +89,60 @@ def test_engine_relabeled_cayley_table(source, data):
     table = CayleyTableGroup(relabeled_table(source, [0] + list(rest)))
     assert_engine_matches_payloads(table)
     assert spectrum_by_enumeration(table).entries == source.spectrum().entries
+
+
+def associative_by_slices(table) -> bool:
+    """The n^3 reference: (i*j)*k == i*(j*k) for each i, over all j, k at once."""
+    arr = np.array(table)
+    return all(np.array_equal(arr[arr[i]], arr[i][arr]) for i in range(len(arr)))
+
+
+def assert_light_test_agrees(table):
+    """CayleyTableGroup accepts exactly the associative tables, and names a real failure."""
+    try:
+        CayleyTableGroup(table)
+    except IntegrityError as exc:
+        i, j, k = map(int, re.search(r"at \((\d+)\*(\d+)\)\*(\d+)", str(exc)).groups())
+        assert table[table[i][j]][k] != table[i][table[j][k]]
+        assert not associative_by_slices(table)
+    else:
+        assert associative_by_slices(table)
+
+
+# an intercalate swap in a table of S3; generator 1 passes Light's test alone
+LOOP_6 = [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 3, 2], [2, 3, 0, 1, 5, 4],
+          [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 2, 3], [5, 4, 3, 2, 1, 0]]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([g for g in TABLE_SOURCES if g.order % 2 == 0 and g.order > 2]),
+       st.data())
+def test_light_test_agrees_with_the_full_check(source, data):
+    rest = data.draw(st.permutations(range(1, source.order)))
+    table = relabeled_table(source, [0] + list(rest))
+    n = len(table)
+    gens = core._magma_generators(np.array(table))
+    assert len(gens) <= n.bit_length() - 1  # each pick at least doubles a subgroup
+    assert_light_test_agrees(table)
+    # An involution u gives the intercalate at rows r, r*u and columns u*c, c;
+    # swapping its diagonals keeps the Latin square and the identity.
+    u = data.draw(st.sampled_from([x for x in range(1, n) if table[x][x] == 0]))
+    r, c = (data.draw(st.sampled_from([x for x in range(1, n) if x != u])) for _ in "rc")
+    rows, cols = (r, table[r][u]), (table[u][c], c)
+    for row in rows:
+        table[row][cols[0]], table[row][cols[1]] = table[row][cols[1]], table[row][cols[0]]
+    assert_light_test_agrees(table)
+
+
+def test_light_test_checks_every_greedy_generator():
+    arr = np.array(LOOP_6)
+    assert core._magma_generators(arr) == [1, 2]
+    column = arr[:, 1]
+    assert np.array_equal(column[arr], arr[:, column])
+    assert not associative_by_slices(LOOP_6)
+    with pytest.raises(IntegrityError, match=r"^associativity fails at \(\d\*\d\)\*2 != "):
+        CayleyTableGroup(LOOP_6)
+    assert_light_test_agrees(LOOP_6)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
