@@ -15,9 +15,9 @@ from functools import lru_cache
 
 from . import families
 from .closedforms import (
+    _metacyclic_presentations_of,
     abelian_types_up_to,
     metacyclic_attains_exponent,
-    valid_metacyclic_presentations,
 )
 from .core import DirectProductGroup, Group, IntegrityError
 from .numtheory import is_prime
@@ -137,9 +137,9 @@ def scan_families(order_bound: int) -> tuple:
         groups.append(g)
         nonabelian.append(g)
         size *= 2
-    for m, n, s, r in valid_metacyclic_presentations(order_bound, order_bound):
-        if m * n <= order_bound:
-            groups.append(families.metacyclic(m, n, s, r))
+    for m in range(1, order_bound + 1):
+        for params in _metacyclic_presentations_of(m, order_bound // m):
+            groups.append(families.metacyclic(*params))
     for p in range(3, order_bound + 1, 2):
         if not is_prime(p):
             continue

@@ -34,7 +34,7 @@ from .core import (
     report,
 )
 from .classc import solve_phi_eq_prime
-from .verification import run_suite, summarize
+from .verification import SUITES, run_suite, summarize
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -162,6 +162,8 @@ def _write_registry(path: Path, registry: dict) -> None:
     try:
         tmp.write_text(text)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise IntegrityError(f"cannot write registry {path}: {exc}") from exc
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -347,9 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--json", action="store_true")
 
     p_verify = sub.add_parser("verify", help="run a regression suite")
-    p_verify.add_argument("suite", choices=(
-        "abelian", "dihedral", "metacyclic", "symmetric", "aut", "class-c",
-        "paper-examples", "all"))
+    p_verify.add_argument("suite", choices=(*SUITES, "all"))
     fmt = p_verify.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")

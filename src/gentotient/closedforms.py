@@ -397,11 +397,16 @@ def abelian_types_up_to(bound: int):
 def valid_metacyclic_presentations(max_m: int, max_n: int):
     """All (m, n, s, r) accepted by the metacyclic constructor, in order."""
     for m in range(1, max_m + 1):
-        rs = [r for r in range(m) if math.gcd(m, r) == 1]
-        for n in range(1, max_n + 1):
-            for r in rs:
-                if pow(r, n, m) != 1 % m:
-                    continue
-                step = m // math.gcd(m, (r - 1) % m)
-                for s in range(0, m, step):
-                    yield m, n, s, r
+        yield from _metacyclic_presentations_of(m, max_n)
+
+
+def _metacyclic_presentations_of(m: int, max_n: int):
+    """The presentations (m, n, s, r) with this m and n <= max_n, in order."""
+    rs = [r for r in range(m) if math.gcd(m, r) == 1]
+    for n in range(1, max_n + 1):
+        for r in rs:
+            if pow(r, n, m) != 1 % m:
+                continue
+            step = m // math.gcd(m, (r - 1) % m)
+            for s in range(0, m, step):
+                yield m, n, s, r

@@ -13,8 +13,9 @@ applies its group law to whole numpy batches of them, from which the engine
 builds the power maps x -> x^p and the order of every element.  Structural
 shortcuts exist only where the spectrum of a large group is assembled from
 exhaustively computed pieces: direct products combine factor spectra by
-lcm-convolution, and symmetric/alternating groups delegate to the cycle-type
-engine.
+lcm-convolution (abelian groups, the products of their cyclic factors of
+prime-power order, convolve those factors' order counts and are checked once),
+and symmetric/alternating groups delegate to the cycle-type engine.
 """
 
 from __future__ import annotations
@@ -152,12 +153,18 @@ def lcm_convolve(a: OrderSpectrum, b: OrderSpectrum) -> OrderSpectrum:
 
     N_d(G1 x G2) = sum over pairs (e, f) with lcm(e, f) = d of N_e * N_f.
     """
+    return OrderSpectrum(_lcm_convolve_counts(a.entries, b.entries),
+                         a.group_order * b.group_order)
+
+
+def _lcm_convolve_counts(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
+    """The order counts of a direct product from its factors' order counts."""
     out: dict[int, int] = {}
-    for d1, c1 in a.entries.items():
-        for d2, c2 in b.entries.items():
+    for d1, c1 in a.items():
+        for d2, c2 in b.items():
             d = math.lcm(d1, d2)
             out[d] = out.get(d, 0) + c1 * c2
-    return OrderSpectrum(out, a.group_order * b.group_order)
+    return out
 
 
 @dataclass(frozen=True)
@@ -444,7 +451,7 @@ class CyclicGroup(Group):
         return iter(range(self.n))
 
     def _decode(self, idx):
-        return idx.astype(np.int64)
+        return idx.astype(np.int64, copy=False)
 
     def _encode(self, batch):
         return batch
@@ -467,91 +474,6 @@ class CyclicGroup(Group):
     def _compute_spectrum(self):
         self.require_enumerable()
         return OrderSpectrum(_cyclic_order_counts(self.n), self.n)
-
-
-class AbelianGroup(Group):
-    """Direct sum of cyclic groups of prime-power order, as residue tuples."""
-
-    kind = "abelian"
-
-    def __init__(self, primary_type: Sequence[tuple[int, Sequence[int]]], kind=None, name=None):
-        if not primary_type:
-            raise ValueError("abelian type must name at least one cyclic factor")
-        normalized = []
-        seen = set()
-        for p, alphas in sorted(primary_type):
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-            if p in seen:
-                raise ValueError(f"prime {p} listed twice")
-            seen.add(p)
-            alphas = tuple(sorted(int(a) for a in alphas))
-            if not alphas or alphas[0] < 1:
-                raise ValueError(f"exponents for prime {p} must be positive")
-            normalized.append((p, alphas))
-        self.primary_type = tuple(normalized)
-        self.moduli = tuple(p**a for p, alphas in self.primary_type for a in alphas)
-        order = math.prod(self.moduli)
-        if name is None:
-            name = "x".join(f"Z{m}" for m in self.moduli)
-        super().__init__(order, name)
-        if kind is not None:
-            self.kind = kind
-
-    def identity(self):
-        return (0,) * len(self.moduli)
-
-    def multiply(self, x, y):
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
-
-    def validate_element(self, x):
-        if (
-            not isinstance(x, tuple)
-            or len(x) != len(self.moduli)
-            or any(not isinstance(a, int) or not 0 <= a < m for a, m in zip(x, self.moduli))
-        ):
-            raise RealizationError(f"{x!r} is not a residue tuple for moduli {self.moduli}")
-
-    def elements(self):
-        self.require_enumerable()
-        return _iproduct(*[range(m) for m in self.moduli])
-
-    # batches: one array of residues per cyclic factor
-
-    def _decode(self, idx):
-        return np.unravel_index(idx, self.moduli)
-
-    def _encode(self, batch):
-        return np.ravel_multi_index(batch, self.moduli)
-
-    def _batch_multiply(self, x, y):
-        return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))
-
-    def _unpack(self, batch):
-        return list(zip(*(a.tolist() for a in batch)))
-
-    def element_order(self, x):
-        out = 1
-        for a, m in zip(x, self.moduli):
-            out = math.lcm(out, m // math.gcd(a, m))
-        return out
-
-    def is_abelian(self):
-        return True
-
-    def key(self):
-        return ("abelian", self.primary_type)
-
-    def _compute_spectrum(self):
-        # still exhaustive: the order of every single element is evaluated,
-        # just in vectorized batches
-        self.require_enumerable()
-        acc = np.ones(1, dtype=np.int64)
-        for m in self.moduli:
-            residues = np.arange(m, dtype=np.int64)
-            ords = m // np.gcd(residues, m)
-            acc = np.lcm.outer(acc, ords).ravel()
-        return OrderSpectrum(_count_orders(acc), self.order)
 
 
 class MetacyclicGroup(Group):
@@ -1117,6 +1039,47 @@ class DirectProductGroup(Group):
         return spec
 
 
+class AbelianGroup(DirectProductGroup):
+    """Direct product of cyclic groups of prime-power order, by primary type.
+
+    The factors are Z_(p^a), one per exponent a listed for the prime p, so
+    the elements are flat residue tuples.
+    """
+
+    kind = "abelian"
+
+    def __init__(self, primary_type: Sequence[tuple[int, Sequence[int]]], kind=None, name=None):
+        if not primary_type:
+            raise ValueError("abelian type must name at least one cyclic factor")
+        normalized = []
+        seen = set()
+        for p, alphas in sorted(primary_type):
+            if not is_prime(p):
+                raise ValueError(f"{p} is not prime")
+            if p in seen:
+                raise ValueError(f"prime {p} listed twice")
+            seen.add(p)
+            alphas = tuple(sorted(int(a) for a in alphas))
+            if not alphas or alphas[0] < 1:
+                raise ValueError(f"exponents for prime {p} must be positive")
+            normalized.append((p, alphas))
+        self.primary_type = tuple(normalized)
+        self.moduli = tuple(p**a for p, alphas in self.primary_type for a in alphas)
+        super().__init__([CyclicGroup(m) for m in self.moduli], kind, name)
+
+    def key(self):
+        return ("abelian", self.primary_type)
+
+    def _compute_spectrum(self):
+        # the factors' order counts, each evaluated on every residue, are
+        # convolved as plain counts, so the spectrum is checked once
+        self.require_enumerable()
+        counts = {1: 1}
+        for m in self.moduli:
+            counts = _lcm_convolve_counts(counts, _cyclic_order_counts(m))
+        return OrderSpectrum(counts, self.order)
+
+
 def _table_array(table, n: int) -> np.ndarray:
     """The table as an n x n intp array, once every entry is an int in 0..n-1."""
     try:
@@ -1311,16 +1274,7 @@ def cyclic_count_max(group: Group) -> int:
     phi(G) splits into classes of size phi(exp G), one per cyclic subgroup of
     that order, so the division must be exact.
     """
-    spec = group.spectrum()
-    phi_g = spec.phi()
-    phi_exp = euler_phi(spec.exponent())
-    k, rem = divmod(phi_g, phi_exp)
-    if rem:
-        raise IntegrityError(
-            f"phi({group.name}) = {phi_g} is not divisible by "
-            f"phi(exp) = {phi_exp}; the spectrum is corrupt"
-        )
-    return k
+    return report(group).k
 
 
 def commuting_witness(group: Group) -> Optional[list]:

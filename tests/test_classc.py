@@ -45,6 +45,21 @@ def test_metacyclic_in_c_matches_oracle():
         assert classc.metacyclic_in_c(m, n, s, r) == oracle
 
 
+def test_catalog_generates_only_the_presentations_it_keeps():
+    from gentotient.closedforms import _metacyclic_presentations_of, valid_metacyclic_presentations
+
+    def kept(bound):
+        return [p for p in valid_metacyclic_presentations(bound, bound) if p[0] * p[1] <= bound]
+
+    for bound in range(1, 61):
+        generated = [p for m in range(1, bound + 1)
+                     for p in _metacyclic_presentations_of(m, bound // m)]
+        assert generated == kept(bound), bound
+    for bound in (40, 60):
+        scanned = [g.key()[1:] for g in classc.scan_families(bound) if g.kind == "metacyclic"]
+        assert scanned == kept(bound)
+
+
 def test_embed_in_c():
     s3 = fam.symmetric(3)
     embedded = classc.embed_in_c(s3)

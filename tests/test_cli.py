@@ -8,6 +8,7 @@ import pytest
 
 from gentotient import cli
 from gentotient import families as fam
+from gentotient.core import IntegrityError
 
 
 def run_cli(capsys, *argv):
@@ -81,6 +82,13 @@ def test_eval_resource_limit_exit_code(capsys):
     code, _, err = run_cli(capsys, "eval", "Z99999999", "spectrum")
     assert code == cli.EXIT_RESOURCE == 3
     assert "cap" in err
+
+
+def test_eval_refuses_an_abelian_group_beyond_the_cap(capsys):
+    code, out, err = run_cli(capsys, "eval", "Z2^25", "phi")
+    assert code == cli.EXIT_RESOURCE
+    assert out == ""
+    assert "|Z2^25| = 33554432 exceeds the enumeration cap" in err
 
 
 def test_eval_bad_constructor_parameters(capsys):
@@ -315,10 +323,23 @@ def test_registry_write_is_compact_and_atomic(tmp_path, capsys, monkeypatch):
         raise OSError("disk full")
 
     monkeypatch.setattr(cli.os, "replace", fail)
-    with pytest.raises(OSError):
+    with pytest.raises(IntegrityError, match="disk full") as err:
         cli.import_group_file(table_file, "other", registry)
+    assert str(registry) in str(err.value)
     assert registry.read_text() == text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["q8.json", "registry.json"]
+
+
+def test_registry_that_cannot_be_written_exits_4_naming_it(tmp_path, capsys):
+    table_file = tmp_path / "one.json"
+    table_file.write_text(json.dumps({"order": 1, "table": [[0]]}))
+    registry = tmp_path / "missing" / "r.json"
+    code, out, err = run_cli(capsys, "--registry", str(registry), "import", str(table_file))
+    assert code == cli.EXIT_INTEGRITY
+    assert out == ""
+    assert err.startswith(f"error: cannot write registry {registry}: ")
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["one.json"]
 
 
 @pytest.mark.parametrize("group_id", ["box", "a b", "q(8)", "q8+"])

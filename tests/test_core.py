@@ -148,6 +148,22 @@ def test_enumeration_cap_on_large_symmetric():
         list(fam.symmetric(11).elements())
 
 
+def test_abelian_spectrum_keeps_the_enumeration_cap():
+    with pytest.raises(ResourceLimitError) as err:
+        fam.elementary_abelian(2, 25).spectrum()
+    assert str(err.value).startswith("|Z2^25| = 33554432 exceeds the enumeration cap")
+
+
+def test_abelian_payloads_are_flat_residue_tuples():
+    g = fam.abelian([(2, [1, 2])])
+    assert list(g.elements())[:3] == [(0, 0), (0, 1), (0, 2)]
+    assert g.multiply((1, 3), (1, 2)) == (0, 1)
+    with pytest.raises(RealizationError, match="4 is not a residue mod 4"):
+        gt.multiply(g, (0, 4), (0, 0))
+    with pytest.raises(RealizationError, match="is not a 2-component tuple"):
+        gt.multiply(g, (0, 1, 0), (0, 0))
+
+
 def test_enumeration_cap_env_override(monkeypatch):
     monkeypatch.setenv("GENTOTIENT_MAX_ELEMENTS", "10")
     with pytest.raises(ResourceLimitError) as err:
@@ -432,9 +448,9 @@ def test_metacyclic_associativity(params, data):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.lists(st.sampled_from([(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]),
+@given(st.lists(st.sampled_from([(2, [1]), (2, [2]), (2, [1, 1]), (2, [1, 2]), (2, [1, 1, 2]),
+                                 (3, [1]), (3, [2]), (3, [1, 1]), (5, [1]), (7, [1])]),
                 min_size=1, max_size=3, unique_by=lambda t: t[0]))
-def test_abelian_vectorized_spectrum_matches_plain_enumeration(picks):
-    ptype = [(p, [a]) for p, a in picks]
+def test_abelian_vectorized_spectrum_matches_plain_enumeration(ptype):
     g = fam.abelian(ptype)
     assert g.spectrum().entries == spectrum_by_enumeration(g).entries
