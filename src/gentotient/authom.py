@@ -1,10 +1,17 @@
-"""Brute-force counting of automorphisms and homomorphisms of small groups.
+"""Exact counting of automorphisms and homomorphisms of small groups.
 
-The counter backtracks over candidate images of a greedily chosen generating
+Both counters backtrack over candidate images of a greedily chosen generating
 set.  Each partial assignment is extended to the generated subgroup by
 right-multiplication closure; every product x * g of a mapped element with a
 mapped generator is checked on the way, which is enough to certify the full
 homomorphism property once the closure stabilizes.
+
+``hom_count`` visits one search leaf per homomorphism.  ``aut_count`` does
+not: Aut G acts regularly on the valid generator-image tuples, so |Aut G| is
+the product over the generators g_k of the orbit length of g_k under the
+pointwise stabilizer of g_1..g_(k-1).  Each orbit length counts the images
+of g_k that extend to an automorphism with the earlier generators fixed,
+and an existence search, stopping at its first leaf, decides each one.
 """
 
 from __future__ import annotations
@@ -108,15 +115,28 @@ def generator_presentation(group: Group) -> GeneratorPresentation:
     return GeneratorPresentation(group, tuple(mat.elements[g] for g in gens))
 
 
-def _count_morphisms(src: MaterializedGroup, dst: MaterializedGroup,
-                     gens: list[int], candidates: list[list[int]],
-                     injective: bool) -> int:
-    space = math.prod(len(c) for c in candidates) if candidates else 1
+def _check_search_space(candidates: list[list[int]]) -> None:
+    space = math.prod(len(c) for c in candidates)
     if space > AUT_SEARCH_CAP:
         raise ResourceLimitError(
             f"candidate image space of size {space} exceeds the search cap of "
             f"{AUT_SEARCH_CAP}"
         )
+
+
+def _morphism_search(src: MaterializedGroup, dst: MaterializedGroup,
+                     gens: list[int], candidates: list[list[int]],
+                     injective: bool):
+    """Backtracking state for the images of ``gens`` in ``dst``.
+
+    Returns ``(fix, search)``.  ``fix(depth, h)`` assigns ``gens[depth] -> h``
+    for good and reports whether the closure checks pass.
+    ``search(depth, first, first_below)`` counts the complete assignments of
+    ``gens[depth:]`` that extend the current one, trying each candidate
+    image of ``gens[depth]`` and undoing it before the next.  With ``first``
+    it stops at the first complete assignment; with ``first_below`` every
+    deeper level does, so each image of ``gens[depth]`` counts at most once.
+    """
     stable = src.table
     dtable = dst.table
     img = [-1] * src.n
@@ -168,39 +188,95 @@ def _count_morphisms(src: MaterializedGroup, dst: MaterializedGroup,
             idx += 1
         return True
 
-    count = 0
+    def fix(depth: int, h: int) -> bool:
+        assigned.append(gens[depth])
+        return extend(gens[depth], h)
 
-    def place(depth: int) -> None:
-        nonlocal count
-        if depth == len(gens):
-            count += 1
-            return
+    last = len(gens) - 1
+
+    def search(depth: int, first: bool, first_below: bool) -> int:
         g = gens[depth]
+        total = 0
         for h in candidates[depth]:
             if injective and used[h]:
                 continue
             mark = len(sub)
             assigned.append(g)
-            ok = extend(g, h)
-            if ok:
-                place(depth + 1)
+            if extend(g, h):
+                total += 1 if depth == last else search(depth + 1, first_below,
+                                                        first_below)
             for x in sub[mark:]:
                 if injective:
                     used[img[x]] = 0
                 img[x] = -1
             del sub[mark:]
             assigned.pop()
+            if first and total:
+                break
+        return total
 
-    place(0)
-    return count
+    return fix, search
+
+
+def _count_morphisms(src: MaterializedGroup, dst: MaterializedGroup,
+                     gens: list[int], candidates: list[list[int]],
+                     injective: bool) -> int:
+    """Number of complete generator assignments: one search leaf each."""
+    _check_search_space(candidates)
+    if not gens:
+        return 1
+    _, search = _morphism_search(src, dst, gens, candidates, injective)
+    return search(0, False, False)
+
+
+def _count_automorphisms(mat: MaterializedGroup, gens: list[int],
+                         candidates: list[list[int]]) -> int:
+    """|Aut G| as a product of orbit lengths, one per generator.
+
+    Let g1..gr be the generators.  An automorphism is fixed by its image
+    tuple (h1..hr), so Aut G acts regularly on the valid tuples by
+    composition.  The valid tuples that start with a valid prefix
+    (h1..h(k-1)) are the images of one coset of the pointwise stabilizer S of
+    g1..g(k-1), so their possible k-th entries form a translate of the orbit
+    of gk under S: every valid prefix has the same number of valid
+    extensions at position k.  The identity prefix (g1..g(k-1)) is always
+    valid, so counting there gives that number, and
+
+        |Aut G| = prod over k of |orbit of gk under the stabilizer of g1..g(k-1)|
+
+    (orbit-stabilizer down the chain of pointwise stabilizers; Holt, Eick &
+    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  An image
+    of gk has gk's order, so the orbit lies in gk's order bucket; a candidate
+    h is in it iff g1..g(k-1) -> themselves, gk -> h extends to an
+    automorphism, which an existence search over the remaining generators
+    decides, stopping at the first complete assignment.
+    """
+    _check_search_space(candidates)
+    fix, search = _morphism_search(mat, mat, gens, candidates, injective=True)
+    out = 1
+    for depth, g in enumerate(gens):
+        out *= search(depth, False, True)
+        if not fix(depth, g):
+            raise IntegrityError(f"the identity map of {mat.group.name} failed "
+                                 f"the closure checks")
+    return out
 
 
 def aut_count(group: Group) -> int:
-    """Exact size of the automorphism group, by generator-image backtracking.
+    """Exact size of the automorphism group, as a product of orbit lengths.
+
+    The greedy generators g1..gr are fixed one at a time: the k-th factor is
+    the number of images of gk that extend, with g1..g(k-1) fixed, to an
+    automorphism.  The product is exact because automorphisms act regularly
+    on the valid generator-image tuples, so every valid prefix has as many
+    valid extensions as the identity prefix (``_count_automorphisms`` gives
+    the argument).  Each candidate image costs one existence search, which stops at
+    its first complete assignment, where a full count would visit one leaf
+    per automorphism.
 
     Abelian groups of multi-prime order factor as a direct product of their
     coprime primary parts, and automorphisms respect that splitting, so each
-    part is counted separately (still by backtracking).
+    part is counted separately.
     """
     if isinstance(group, AbelianGroup) and len(group.primary_type) > 1:
         out = 1
@@ -215,7 +291,7 @@ def aut_count(group: Group) -> int:
             f"counter refuses beyond {AUT_GENERATOR_CAP}"
         )
     candidates = [list(mat.order_buckets[mat.orders[g]]) for g in gens]
-    return _count_morphisms(mat, mat, gens, candidates, injective=True)
+    return _count_automorphisms(mat, gens, candidates)
 
 
 def hom_count(source: Group, target: Group) -> int:

@@ -85,11 +85,14 @@ def _index_dtype(order: int):
 
 
 @lru_cache(maxsize=4096)
-def _totient_and_primes(d: int) -> tuple[int, tuple[int, ...]]:
-    """phi(d) and the primes dividing d, cached: spectra checked again and
-    again, such as those of S_n or of products, share most of their orders."""
+def _totient_and_primes(d: int) -> tuple[int, tuple[int, ...], int]:
+    """phi(d), the primes dividing d, and p if d is a power of the prime p
+    (else 0), cached: spectra checked again and again, such as those of S_n
+    or of products, share most of their orders."""
     factors = factorize(d)
-    return euler_phi_from_factorization(factors), tuple(factors)
+    primes = tuple(factors)
+    return (euler_phi_from_factorization(factors), primes,
+            primes[0] if len(primes) == 1 else 0)
 
 
 @dataclass(frozen=True)
@@ -108,18 +111,18 @@ class OrderSpectrum:
 
     def check(self) -> None:
         """Sanity constraints every genuine spectrum satisfies."""
-        entries = self.entries
-        if sum(entries.values()) != self.group_order:
+        entries, n = self.entries, self.group_order
+        if sum(entries.values()) != n:
             raise IntegrityError(
-                f"spectrum counts sum to {sum(entries.values())}, "
-                f"expected |G| = {self.group_order}"
+                f"spectrum counts sum to {sum(entries.values())}, expected |G| = {n}"
             )
         if entries.get(1) != 1:
             raise IntegrityError("spectrum must contain exactly one identity")
+        rest = n  # |G| with the primes of the element orders divided out
         for d, count in entries.items():
             if d < 1 or count < 0:
                 raise IntegrityError(f"bad spectrum entry {d}: {count}")
-            phi_d, primes = _totient_and_primes(d)
+            phi_d, primes, base = _totient_and_primes(d)
             if count % phi_d != 0:
                 raise IntegrityError(
                     f"count {count} at order {d} is not a multiple of phi({d})"
@@ -130,6 +133,18 @@ class OrderSpectrum:
                     raise IntegrityError(
                         f"order {d} present but its divisor {d // p} is missing"
                     )
+            # by divisor closure exp(G) is the lcm of the prime-power orders,
+            # and the primes dividing it are orders too
+            if base:
+                if n % d != 0:  # Lagrange: exp(G) divides |G|
+                    raise IntegrityError(f"element order {d} does not divide |G| = {n}")
+                while rest % base == 0:
+                    rest //= base
+        if rest != 1:  # Cauchy: every prime dividing |G| is an element order
+            raise IntegrityError(
+                f"prime {min(factorize(rest))} divides |G| = {n} but no element "
+                f"has that order"
+            )
 
     def exponent(self) -> int:
         out = 1

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import authom, classc, closedforms as cf, families
-from .core import phi, spectrum_by_enumeration
+from .core import ResourceLimitError, phi, spectrum_by_enumeration
 from .numtheory import euler_phi
 
 
@@ -212,6 +212,40 @@ def suite_symmetric() -> list[ReportRow]:
     return rows
 
 
+@dataclass(frozen=True)
+class PhiAut:
+    """phi(G) against |Aut G| for one abelian group."""
+
+    name: str
+    phi: int
+    aut: int
+    cyclic: bool
+
+    @property
+    def holds(self) -> bool:
+        """phi(G) <= |Aut G|, with equality iff G is cyclic."""
+        return self.phi <= self.aut and (self.phi == self.aut) == self.cyclic
+
+
+def abelian_phi_aut_sweep(bound: int) -> tuple[list[PhiAut], list[str]]:
+    """phi(G) and |Aut G| for each abelian type of order <= bound.
+
+    Returns the compared groups and, in sweep order, the names of the groups
+    whose counts the automorphism search caps refuse.
+    """
+    compared, refused = [], []
+    for _, ptype in cf.abelian_types_up_to(bound):
+        g = families.abelian(ptype)
+        try:
+            aut = authom.aut_count(g)
+        except ResourceLimitError:
+            refused.append(g.name)
+            continue
+        cyclic = all(len(alphas) == 1 for _, alphas in g.primary_type)
+        compared.append(PhiAut(g.name, phi(g), aut, cyclic))
+    return compared, refused
+
+
 def suite_aut() -> list[ReportRow]:
     rows = []
     rows.append(_row("aut(Z_n) = phi(n) for n <= 48", True,
@@ -220,21 +254,8 @@ def suite_aut() -> list[ReportRow]:
     rows.append(_row("aut(S3)", 6, authom.aut_count(families.symmetric(3))))
     rows.append(_row("hom(Z4, Z2)", 2,
                      authom.hom_count(families.cyclic(4), families.cyclic(2))))
-    from .core import ResourceLimitError
-
-    bound_holds_64 = True
-    for order, ptype in cf.abelian_types_up_to(64):
-        g = families.abelian(ptype)
-        try:
-            aut = authom.aut_count(g)
-        except ResourceLimitError:
-            continue  # beyond the search caps; covered by the refusal tests
-        phi_g = phi(g)
-        cyclic_type = all(len(alphas) == 1 for _, alphas in g.primary_type)
-        if phi_g > aut or (phi_g == aut) != cyclic_type:
-            bound_holds_64 = False
     rows.append(_row("abelian phi <= aut, equality iff cyclic (|G| <= 64)", True,
-                     bound_holds_64))
+                     all(r.holds for r in abelian_phi_aut_sweep(64)[0])))
     trivial_center = all(
         phi(g) < g.order <= authom.aut_count(g)
         for g in (families.symmetric(3), families.symmetric(4),

@@ -7,14 +7,10 @@ Every comparison is exact (integers and booleans).  Run with
 import math
 from functools import lru_cache
 
-from gentotient import authom, classc
+from gentotient import authom, classc, verification
 from gentotient import closedforms as cf
 from gentotient import families as fam
-from gentotient.core import (
-    ResourceLimitError,
-    commuting_witness,
-    spectrum_by_enumeration,
-)
+from gentotient.core import commuting_witness, spectrum_by_enumeration
 from gentotient.numtheory import euler_phi, factorize
 
 
@@ -166,20 +162,10 @@ def test_criterion_09_abelian_phi_bounded_by_aut():
     Searches whose candidate space exceeds the configured caps are refused,
     never silently skipped; the refusal set is pinned below.
     """
-    refused = []
-    checked = 0
-    for order, ptype in cf.abelian_types_up_to(128):
-        group = fam.abelian(ptype)
-        try:
-            aut = authom.aut_count(group)
-        except ResourceLimitError:
-            refused.append(group.name)
-            continue
-        phi_g = group.spectrum().phi()
-        cyclic_type = all(len(alphas) == 1 for _, alphas in group.primary_type)
-        assert phi_g <= aut, group.name
-        assert (phi_g == aut) == cyclic_type, group.name
-        checked += 1
+    compared, refused = verification.abelian_phi_aut_sweep(128)
+    for row in compared:
+        assert row.phi <= row.aut, row.name
+        assert (row.phi == row.aut) == row.cyclic, row.name
     assert sorted(refused) == [
         "Z2xZ2xZ2xZ16",
         "Z2xZ2xZ2xZ2xZ2",
@@ -196,7 +182,7 @@ def test_criterion_09_abelian_phi_bounded_by_aut():
         "Z3xZ3xZ3xZ3",
         "Z5xZ5xZ5",
     ]
-    announce(9, f"phi <= aut with equality iff cyclic on {checked} abelian "
+    announce(9, f"phi <= aut with equality iff cyclic on {len(compared)} abelian "
                 f"groups <= 128 ({len(refused)} refused by the search caps)")
 
 

@@ -3,11 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gentotient import authom
+from gentotient import closedforms as cf
 from gentotient import families as fam
-from gentotient.core import ResourceLimitError
-from gentotient.numtheory import euler_phi
+from gentotient import verification
+from gentotient.core import AbelianGroup, ResourceLimitError
+from gentotient.numtheory import euler_phi, is_prime
 
 
 def test_aut_cyclic_is_classical_totient():
@@ -184,19 +188,92 @@ def test_phi_aut_screen_with_supplied_count():
 
 
 def test_abelian_phi_bounded_by_aut_small():
-    from gentotient.closedforms import abelian_types_up_to
-
-    refused = []
-    for order, ptype in abelian_types_up_to(48):
-        g = fam.abelian(ptype)
-        try:
-            aut = authom.aut_count(g)
-        except ResourceLimitError:
-            refused.append(g.name)
-            continue
-        phi_g = g.spectrum().phi()
-        cyclic_type = all(len(alphas) == 1 for _, alphas in g.primary_type)
-        assert phi_g <= aut
-        assert (phi_g == aut) == cyclic_type
+    compared, refused = verification.abelian_phi_aut_sweep(48)
+    for row in compared:
+        assert row.phi <= row.aut
+        assert (row.phi == row.aut) == row.cyclic
     # only the rank-5 elementary abelian group exceeds the generator cap here
     assert refused == ["Z2xZ2xZ2xZ2xZ2"]
+
+
+# -- the orbit-length product against one search leaf per automorphism --------
+
+def _generators_and_candidates(group):
+    mat = authom.MaterializedGroup(group)
+    gens = authom.greedy_generators(mat)
+    if len(gens) > authom.AUT_GENERATOR_CAP:
+        raise ResourceLimitError(f"{group.name} needs {len(gens)} generators")
+    return mat, gens, [list(mat.order_buckets[mat.orders[g]]) for g in gens]
+
+
+def leaf_count_aut(group):
+    """|Aut G| with one search leaf per automorphism, split into coprime
+    primary parts for abelian groups as aut_count splits them."""
+    if isinstance(group, AbelianGroup) and len(group.primary_type) > 1:
+        return math.prod(leaf_count_aut(AbelianGroup([part]))
+                         for part in group.primary_type)
+    mat, gens, candidates = _generators_and_candidates(group)
+    return authom._count_morphisms(mat, mat, gens, candidates, injective=True)
+
+
+def assert_orbit_product_matches_leaves(group):
+    try:
+        expected = leaf_count_aut(group)
+    except ResourceLimitError:
+        with pytest.raises(ResourceLimitError):
+            authom.aut_count(group)
+        return False
+    assert authom.aut_count(group) == expected, group.name
+    return True
+
+
+def test_aut_count_matches_leaf_count_on_abelian_groups():
+    counted = [
+        assert_orbit_product_matches_leaves(fam.abelian(ptype))
+        for _, ptype in cf.abelian_types_up_to(64)
+    ]
+    assert counted.count(False) == 4  # Z2^5, Z2^6, Z2^4xZ4, Z2^2xZ4^2
+
+
+def test_aut_count_matches_leaf_count_on_nonabelian_groups():
+    groups = [fam.dihedral(n) for n in range(4, 65, 2)]
+    groups += [fam.generalized_quaternion(n) for n in (8, 16, 32, 64)]
+    groups += [fam.quasidihedral(n) for n in (16, 32, 64)]
+    groups += [fam.symmetric(4), fam.alternating(5),
+               fam.direct_product([fam.cyclic(6), fam.symmetric(3)])]
+    for p in range(3, 48):
+        for q in range(2, p):
+            if is_prime(p) and is_prime(q) and (p - 1) % q == 0:
+                n = 2
+                while p ** (n - 1) * q <= 48:
+                    groups.append(fam.p_group_P(p, q, n))
+                    n += 1
+    assert all(assert_orbit_product_matches_leaves(g) for g in groups)
+    assert "P(3,2,3)" in {g.name for g in groups}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([p for p in cf.valid_metacyclic_presentations(48, 48)
+                        if p[0] * p[1] <= 48]))
+def test_aut_count_matches_leaf_count_on_metacyclic_groups(params):
+    assert assert_orbit_product_matches_leaves(fam.metacyclic(*params))
+
+
+@pytest.mark.parametrize("group", [fam.abelian([(2, [1, 1, 2])]), fam.symmetric(4),
+                                   fam.generalized_quaternion(16)],
+                         ids=lambda g: g.name)
+def test_existence_searches_leave_the_search_state_clean(group):
+    # one search state serves many existence searches, then a full count;
+    # anything an early stop left behind in img, used or sub would change it
+    mat, gens, candidates = _generators_and_candidates(group)
+    hom_candidates = [
+        [j for j in range(mat.n) if mat.orders[g] % mat.orders[j] == 0] for g in gens
+    ]
+    for injective, cands, full in ((True, candidates, authom.aut_count(group)),
+                                   (False, hom_candidates, authom.hom_count(group, group))):
+        _, search = authom._morphism_search(mat, mat, gens, cands, injective)
+        for _ in range(3):
+            assert search(0, True, True) == 1
+            # one existence search per candidate image of the first generator
+            assert 1 <= search(0, False, True) <= len(cands[0])
+        assert search(0, False, False) == full

@@ -244,6 +244,19 @@ def test_spectrum_rejects_corrupt_counts():
         OrderSpectrum({1: 1, 3: 3}, 4)  # 3 not a multiple of phi(3)
 
 
+def test_spectrum_rejects_an_exponent_not_dividing_the_order():
+    # passes the sum, identity, phi(d) and divisor tests; exp = 6 does not divide 4
+    with pytest.raises(IntegrityError, match="order 3 does not divide"):
+        OrderSpectrum({1: 1, 2: 1, 3: 2}, 4)
+
+
+def test_spectrum_rejects_a_prime_of_the_order_missing_from_the_orders():
+    # passes the sum, identity, phi(d) and divisor tests; 3 | 6 but no element
+    # has order 3
+    with pytest.raises(IntegrityError, match=r"prime 3 divides \|G\| = 6"):
+        OrderSpectrum({1: 1, 2: 5}, 6)
+
+
 def test_cached_spectrum_entries_are_read_only():
     g = gt.cyclic(12)
     with pytest.raises(TypeError):
