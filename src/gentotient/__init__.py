@@ -27,7 +27,6 @@ from .core import (
     SymmetricGroup,
     commuting_witness,
     cyclic_count_max,
-    enumerate_elements,
     enumeration_cap,
     exponent,
     lcm_convolve,

@@ -30,7 +30,7 @@ from .core import (
     ResourceLimitError,
     report,
 )
-from .numtheory import euler_phi
+from .numtheory import size_text
 
 AUT_ORDER_CAP = 256      # largest |G| the counters will materialize
 AUT_GENERATOR_CAP = 4    # refuse greedy generating sets larger than this
@@ -49,7 +49,7 @@ class MaterializedGroup:
     def __init__(self, group: Group, cap: int = AUT_ORDER_CAP):
         if group.order > cap:
             raise ResourceLimitError(
-                f"|{group.name}| = {group.order} exceeds the search cap of {cap}"
+                f"|{group.name}| = {size_text(group.order)} exceeds the search cap of {cap}"
             )
         n = group.order
         self.group = group
@@ -99,20 +99,6 @@ def greedy_generators(mat: MaterializedGroup) -> list[int]:
         gens.append(best)
         closure = set(_closure_ids(mat.table, gens, mat.identity))
     return gens
-
-
-@dataclass(frozen=True)
-class GeneratorPresentation:
-    """A group together with a generating set (closure equals the group)."""
-
-    group: Group
-    generators: tuple
-
-
-def generator_presentation(group: Group) -> GeneratorPresentation:
-    mat = MaterializedGroup(group)
-    gens = greedy_generators(mat)
-    return GeneratorPresentation(group, tuple(mat.elements[g] for g in gens))
 
 
 def _check_search_space(candidates: list[list[int]]) -> None:
@@ -405,8 +391,3 @@ def phi_aut_screen(group: Group, aut_override: Optional[int] = None) -> PhiAutSc
         except ResourceLimitError:
             return PhiAutScreen(rep.phi_g, None, True, None)
     return PhiAutScreen(rep.phi_g, aut, True, rep.phi_g > aut)
-
-
-def aut_count_matches_classical(n: int) -> bool:
-    """|Aut(Z_n)| agrees with the classical totient."""
-    return aut_count(CyclicGroup(n)) == euler_phi(n)

@@ -26,6 +26,7 @@ from pathlib import Path
 
 from . import families
 from .core import (
+    AbelianGroup,
     CayleyTableGroup,
     Group,
     IntegrityError,
@@ -34,6 +35,7 @@ from .core import (
     report,
 )
 from .classc import solve_phi_eq_prime
+from .numtheory import decimal_digits, factorize, is_prime
 from .verification import SUITES, run_suite, summarize
 
 EXIT_OK = 0
@@ -73,11 +75,15 @@ _FACTOR_PATTERNS = [
 
 
 def _power_of_cyclic(base: int, k: int) -> Group:
-    from .numtheory import is_prime
-
+    """Z_base^k as an abelian group, so its spectrum is subject to the cap."""
     if is_prime(base):
         return families.elementary_abelian(base, k)
-    return families.direct_product([families.cyclic(base) for _ in range(k)])
+    if base < 1 or k < 1:
+        raise ValueError(f"need a base and a power >= 1, got Z{base}^{k}")
+    if base == 1:
+        return families.cyclic(1)
+    return AbelianGroup([(p, [a] * k) for p, a in factorize(base).items()],
+                        name=f"Z{base}^{k}")
 
 
 def _parse_abelian(body: str) -> Group:
@@ -268,8 +274,21 @@ def _render_rows(rows, fmt: str, out) -> None:
     out.write(f"{summary['pass']} passed, {summary['fail']} failed\n")
 
 
+def _require_printable(expr: str, quantity: str, n: int) -> None:
+    """Refuse an answer with an integer too long for Python to print."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit and decimal_digits(n) > limit:
+        raise ResourceLimitError(
+            f"the {quantity} of {expr} has {decimal_digits(n)} decimal digits; "
+            f"at most {limit} can be printed"
+        )
+
+
 def _cmd_eval(args, out) -> int:
     group = parse_group_expression(args.expr, args.registry)
+    # these print |G|, and no other number they print exceeds it
+    if args.quantity in ("order", "spectrum", "report"):
+        _require_printable(args.expr, args.quantity, group.order)
     if args.quantity == "order":
         result = {"order": group.order}
     elif args.quantity == "exp":
@@ -285,6 +304,8 @@ def _cmd_eval(args, out) -> int:
         }
     else:
         result = report(group).as_dict()
+    if args.quantity in ("phi", "exp"):
+        _require_printable(args.expr, args.quantity, next(iter(result.values())))
     if args.json:
         out.write(json.dumps(result, indent=1, sort_keys=True) + "\n")
     elif args.quantity in ("phi", "exp", "order"):

@@ -8,51 +8,17 @@ enumeration oracle in :mod:`gentotient.core`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
-from .numtheory import euler_phi, factorize, is_prime
+from .numtheory import euler_phi, factorize, is_prime, metacyclic_parameters
 
 
 # ---------------------------------------------------------------------------
 # integer partitions and the cycle-type engine
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Multiset of positive integers, stored as a nonincreasing tuple."""
-
-    parts: tuple
-
-    def __post_init__(self):
-        if any(p < 1 for p in self.parts):
-            raise ValueError(f"parts must be positive: {self.parts}")
-        if list(self.parts) != sorted(self.parts, reverse=True):
-            raise ValueError(f"parts must be nonincreasing: {self.parts}")
-
-    @property
-    def n(self) -> int:
-        return sum(self.parts)
-
-    def multiplicities(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for p in self.parts:
-            out[p] = out.get(p, 0) + 1
-        return out
-
-    def lcm(self) -> int:
-        out = 1
-        for p in set(self.parts):
-            out = math.lcm(out, p)
-        return out
-
-    def is_even(self) -> bool:
-        """Parity of a permutation with this cycle type (1-cycles included)."""
-        return (self.n - len(self.parts)) % 2 == 0
 
 
 def _partition_tuples(n: int, max_part: int = None) -> Iterator[tuple]:
@@ -71,13 +37,6 @@ def _partition_tuples(n: int, max_part: int = None) -> Iterator[tuple]:
     for first in range(max_part, 0, -1):
         for rest in _partition_tuples(n - first, first):
             yield (first,) + rest
-
-
-def partitions(n: int) -> Iterator[Partition]:
-    """Stream the partitions of n in reverse-lexicographic order."""
-    if n < 0:
-        raise ValueError(f"cannot partition {n}")
-    return (Partition(t) for t in _partition_tuples(n))
 
 
 def _element_orders_symmetric(n: int) -> list[int]:
@@ -298,20 +257,6 @@ def exp_dihedral(n: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _validate_metacyclic(m: int, n: int, s: int, r: int) -> tuple[int, int, int, int]:
-    if m < 1 or n < 1:
-        raise ValueError(f"need m, n >= 1, got ({m}, {n})")
-    s %= m
-    r %= m
-    if math.gcd(m, r) != 1:
-        raise ValueError(f"need gcd(m, r) = 1, got gcd({m}, {r})")
-    if pow(r, n, m) != 1 % m:
-        raise ValueError(f"need r^n = 1 mod m: {r}^{n} != 1 mod {m}")
-    if (s * (r - 1)) % m != 0:
-        raise ValueError(f"need s(r-1) = 0 mod m: ({m}, {n}, {s}, {r}) rejected")
-    return m, n, s, r
-
-
 def metacyclic_exponent(m: int, n: int, s: int, r: int) -> int:
     """Exponent of <a, b | a^m = 1, b^n = a^s, b^-1 a b = a^r>.
 
@@ -319,7 +264,7 @@ def metacyclic_exponent(m: int, n: int, s: int, r: int) -> int:
     (m/gcd(m, s)) * lcm(gcd(m, s), n).  The split case s = 0 reduces to
     lcm(m, n) since gcd(m, 0) = m.
     """
-    m, n, s, r = _validate_metacyclic(m, n, s, r)
+    m, n, s, r = metacyclic_parameters(m, n, s, r)
     g = math.gcd(m, s)
     return (m // g) * math.lcm(g, n)
 
@@ -332,7 +277,7 @@ def metacyclic_order_profile(m: int, n: int, s: int, r: int) -> dict[int, int]:
     o(x) = u * m / gcd(m, s*q + j*S) with S the geometric sum mod m.
     Pure integer arithmetic; no group elements are multiplied.
     """
-    m, n, s, r = _validate_metacyclic(m, n, s, r)
+    m, n, s, r = metacyclic_parameters(m, n, s, r)
     counts: dict[int, int] = {}
     for i in range(n):
         g = math.gcd(i, n)
@@ -367,7 +312,7 @@ def metacyclic_divisibility_criterion(m: int, n: int, s: int, r: int) -> bool:
     Not necessary in general, e.g. (m, n, s, r) = (8, 4, 2, 5) where b itself
     has order 16 = exp(G) while gcd(8, 2) = 2 is not divisible by 4.
     """
-    m, n, s, r = _validate_metacyclic(m, n, s, r)
+    m, n, s, r = metacyclic_parameters(m, n, s, r)
     return math.gcd(m, s) % n == 0
 
 

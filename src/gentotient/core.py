@@ -38,6 +38,8 @@ from .numtheory import (
     factorial_factorization,
     factorize,
     is_prime,
+    metacyclic_parameters,
+    size_text,
 )
 
 DEFAULT_MAX_ELEMENTS = 20_000_000
@@ -252,7 +254,7 @@ class Group:
         cap = enumeration_cap()
         if self.order > cap:
             raise ResourceLimitError(
-                f"|{self.name}| = {self.order} exceeds the enumeration cap of "
+                f"|{self.name}| = {size_text(self.order)} exceeds the enumeration cap of "
                 f"{cap} elements (set {MAX_ELEMENTS_ENV} to raise it)"
             )
 
@@ -307,9 +309,6 @@ class Group:
             base = self.multiply(base, base)
             k >>= 1
         return acc
-
-    def inverse(self, x):
-        return self.power(x, self.element_order(x) - 1)
 
     def element_order(self, x) -> int:
         """Least t >= 1 with x^t = identity.
@@ -503,25 +502,21 @@ class MetacyclicGroup(Group):
     kind = "metacyclic"
 
     def __init__(self, m: int, n: int, s: int, r: int, kind=None, name=None):
-        if m < 1 or n < 1:
-            raise ValueError(f"metacyclic m, n must be >= 1, got ({m}, {n})")
-        s %= m
-        r %= m
-        if math.gcd(m, r) != 1:
-            raise ValueError(f"metacyclic needs gcd(m, r) = 1, got gcd({m}, {r})")
-        if pow(r, n, m) != 1 % m:
-            raise ValueError(f"metacyclic needs r^n = 1 mod m: {r}^{n} != 1 mod {m}")
-        if (s * (r - 1)) % m != 0:
-            raise ValueError(
-                f"metacyclic needs s(r-1) = 0 mod m for associativity: "
-                f"({m}, {n}, {s}, {r}) rejected"
-            )
+        m, n, s, r = metacyclic_parameters(m, n, s, r)
         super().__init__(m * n, name or f"MC({m},{n},{s},{r})")
         if kind is not None:
             self.kind = kind
         self.m, self.n, self.s, self.r = m, n, s, r
-        self._rpow = tuple(pow(r, k, m) for k in range(n))
-        self._rpow_array = np.array(self._rpow, dtype=np.int64)
+        # set here, not by cached_property, so instances keep a compact __dict__
+        self._rpow = self._rpow_array = None
+
+    def _powers_of_r(self) -> tuple:
+        """r^k mod m for k < n, as a tuple and an array, built on first use:
+        n can be far beyond any cap."""
+        if self._rpow is None:
+            self._rpow = tuple(pow(self.r, k, self.m) for k in range(self.n))
+            self._rpow_array = np.array(self._rpow, dtype=np.int64)
+        return self._rpow, self._rpow_array
 
     def identity(self):
         return (0, 0)
@@ -530,9 +525,10 @@ class MetacyclicGroup(Group):
         i, j = x
         k, l = y
         t = i + k
+        rk = self._powers_of_r()[0][k]
         if t >= self.n:
-            return (t - self.n, (j * self._rpow[k] + l + self.s) % self.m)
-        return (t, (j * self._rpow[k] + l) % self.m)
+            return (t - self.n, (j * rk + l + self.s) % self.m)
+        return (t, (j * rk + l) % self.m)
 
     def validate_element(self, x):
         if (
@@ -564,7 +560,8 @@ class MetacyclicGroup(Group):
         (i, j), (k, l) = x, y
         t = i + k
         wrap = t >= self.n
-        return t - self.n * wrap, (j * self._rpow_array[k] + l + self.s * wrap) % self.m
+        rk = self._powers_of_r()[1][k]
+        return t - self.n * wrap, (j * rk + l + self.s * wrap) % self.m
 
     def _unpack(self, batch):
         return list(zip(batch[0].tolist(), batch[1].tolist()))
@@ -1252,11 +1249,6 @@ def order(group: Group, x) -> int:
     """Order of an element (validates payload shape)."""
     group.validate_element(x)
     return group.element_order(x)
-
-
-def enumerate_elements(group: Group) -> Iterator:
-    """Stream every element exactly once (subject to the enumeration cap)."""
-    return group.elements()
 
 
 def spectrum_by_enumeration(group: Group) -> OrderSpectrum:

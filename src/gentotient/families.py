@@ -128,22 +128,3 @@ def mathieu11() -> PermutationClosureGroup:
 def direct_product(factors: Sequence[Group]) -> DirectProductGroup:
     """Direct product with component-wise arithmetic."""
     return DirectProductGroup(factors)
-
-
-def permutation_group(generators, name: str = None) -> PermutationClosureGroup:
-    """Group generated by image arrays on points 0..d-1 (order from closure)."""
-    return PermutationClosureGroup(generators, name=name)
-
-
-def cayley_table_group(table, name: str = "table-group"):
-    """Validated group from an explicit multiplication table."""
-    from .core import CayleyTableGroup
-
-    return CayleyTableGroup(table, name=name)
-
-
-def abelian_type_of_integer(n: int) -> list[tuple[int, list[int]]]:
-    """Primary type of the cyclic group Z_n (one factor per prime power)."""
-    from .numtheory import factorize
-
-    return [(p, [a]) for p, a in sorted(factorize(n).items())]

@@ -39,6 +39,18 @@ def euler_phi(n: int) -> int:
     return euler_phi_from_factorization(factorize(n))
 
 
+def decimal_digits(n: int) -> int:
+    """Number of decimal digits of n >= 1, without converting n to a string."""
+    # 2^(bits-1) <= n < 2^bits, and doubling adds at most one digit
+    d = int((n.bit_length() - 1) * math.log10(2)) + 1
+    return d + (n >= 10**d)
+
+
+def size_text(n: int) -> str:
+    """n in decimal, or its digit count past Python's print limit (4300 by default)."""
+    return str(n) if n.bit_length() <= 10_000 else f"a {decimal_digits(n)}-digit number"
+
+
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, sorted ascending."""
     divs = [1]
@@ -62,17 +74,6 @@ def is_prime(n: int) -> bool:
     return n > 1
 
 
-def is_prime_power(n: int) -> bool:
-    return n > 1 and len(factorize(n)) == 1
-
-
-def lcm_all(values) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
-
-
 @lru_cache(maxsize=256)
 def factorial_factorization(n: int) -> Mapping[int, int]:
     """Factorization of n! via Legendre's prime-power counting (read-only)."""
@@ -86,6 +87,29 @@ def factorial_factorization(n: int) -> Mapping[int, int]:
             q *= p
         out[p] = a
     return MappingProxyType(out)
+
+
+def metacyclic_parameters(m: int, n: int, s: int, r: int) -> tuple[int, int, int, int]:
+    """(m, n, s mod m, r mod m) for <a, b | a^m = 1, b^n = a^s, b^-1 a b = a^r>.
+
+    The presentation is consistent (and its normal-form product associative)
+    exactly when gcd(m, r) = 1, r^n = 1 mod m and s(r - 1) = 0 mod m; anything
+    else raises ValueError.
+    """
+    if m < 1 or n < 1:
+        raise ValueError(f"metacyclic m, n must be >= 1, got ({m}, {n})")
+    s %= m
+    r %= m
+    if math.gcd(m, r) != 1:
+        raise ValueError(f"metacyclic needs gcd(m, r) = 1, got gcd({m}, {r})")
+    if pow(r, n, m) != 1 % m:
+        raise ValueError(f"metacyclic needs r^n = 1 mod m: {r}^{n} != 1 mod {m}")
+    if (s * (r - 1)) % m != 0:
+        raise ValueError(
+            f"metacyclic needs s(r-1) = 0 mod m for associativity: "
+            f"({m}, {n}, {s}, {r}) rejected"
+        )
+    return m, n, s, r
 
 
 def multiplicative_order(a: int, m: int) -> int:

@@ -3,6 +3,10 @@
 Each row pits a closed formula, a published constant, or a structural claim
 against the enumeration oracle.  Suites are pure and deterministic, so their
 output is stable across runs.
+
+Each formula-vs-oracle sweep is defined here once, with its bound as a
+parameter, and returns the comparisons it found false.  A suite runs it at a
+small bound; an acceptance criterion runs it at a larger one.
 """
 
 from __future__ import annotations
@@ -11,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 from . import authom, classc, closedforms as cf, families
-from .core import ResourceLimitError, phi, spectrum_by_enumeration
-from .numtheory import euler_phi
+from .core import ResourceLimitError, commuting_witness, phi, spectrum_by_enumeration
+from .numtheory import euler_phi, factorize
 
 
 @dataclass(frozen=True)
@@ -34,8 +38,19 @@ class ReportRow:
         }
 
 
-def _row(label, expected, computed) -> ReportRow:
-    return ReportRow(label, expected, computed)
+@dataclass(frozen=True)
+class Mismatch:
+    """One comparison a sweep found false: a named check on a named case."""
+
+    check: str
+    case: str
+    expected: object
+    computed: object
+
+
+def _compare(failures: list[Mismatch], check: str, case: str, expected, computed) -> None:
+    if expected != computed:
+        failures.append(Mismatch(check, case, expected, computed))
 
 
 def suite_paper_examples() -> list[ReportRow]:
@@ -48,51 +63,51 @@ def suite_paper_examples() -> list[ReportRow]:
     z3s3 = families.direct_product([families.cyclic(3), s3])
     z6s3 = families.direct_product([families.cyclic(6), families.symmetric(3)])
 
-    rows.append(_row("phi(D8)", 2, phi(d8)))
-    rows.append(_row("phi(|D8|) = phi(8)", 4, euler_phi(8)))
-    rows.append(_row("phi(D8) < phi(|D8|)", True, phi(d8) < euler_phi(8)))
-    rows.append(_row("phi(Z2^2) inside D8 beats phi(D8)", True, phi(klein) > phi(d8)))
-    rows.append(_row("phi(Z2^2)", 3, phi(klein)))
-    rows.append(_row("phi(Z3xS3)", 6, phi(z3s3)))
-    rows.append(_row("phi(Z3xS3) = phi(18)", True, phi(z3s3) == euler_phi(18)))
-    rows.append(_row("phi(Q8)", 6, phi(q8)))
-    rows.append(_row("phi(Q8) > phi(8)", True, phi(q8) > euler_phi(8)))
+    rows.append(ReportRow("phi(D8)", 2, phi(d8)))
+    rows.append(ReportRow("phi(|D8|) = phi(8)", 4, euler_phi(8)))
+    rows.append(ReportRow("phi(D8) < phi(|D8|)", True, phi(d8) < euler_phi(8)))
+    rows.append(ReportRow("phi(Z2^2) inside D8 beats phi(D8)", True, phi(klein) > phi(d8)))
+    rows.append(ReportRow("phi(Z2^2)", 3, phi(klein)))
+    rows.append(ReportRow("phi(Z3xS3)", 6, phi(z3s3)))
+    rows.append(ReportRow("phi(Z3xS3) = phi(18)", True, phi(z3s3) == euler_phi(18)))
+    rows.append(ReportRow("phi(Q8)", 6, phi(q8)))
+    rows.append(ReportRow("phi(Q8) > phi(8)", True, phi(q8) > euler_phi(8)))
     for n, expected in ((1, 1), (2, 1), (3, 0), (4, 0)):
-        rows.append(_row(f"phi(S{n})", expected,
-                         spectrum_by_enumeration(families.symmetric(n)).phi()))
+        rows.append(ReportRow(f"phi(S{n})", expected,
+                              spectrum_by_enumeration(families.symmetric(n)).phi()))
     for n, expected in ((3, 2), (4, 0), (5, 0)):
-        rows.append(_row(f"phi(A{n})", expected,
-                         spectrum_by_enumeration(families.alternating(n)).phi()))
-    rows.append(_row("phi(Z2xZ4) abelian formula", cf.phi_abelian_p(2, [1, 2]),
-                     phi(families.abelian([(2, [1, 2])]))))
-    rows.append(_row("phi(D10) dihedral formula", cf.phi_dihedral(5),
-                     phi(families.dihedral(10))))
-    rows.append(_row("phi(D12) dihedral formula", cf.phi_dihedral(6),
-                     phi(families.dihedral(12))))
-    rows.append(_row("aut(Z6)", 2, authom.aut_count(families.cyclic(6))))
-    rows.append(_row("aut(S3)", 6, authom.aut_count(s3)))
-    rows.append(_row("hom(S3, Z6)", 2, authom.hom_count(s3, families.cyclic(6))))
-    rows.append(_row("aut(Z6xS3) via product rule", 24,
-                     authom.aut_product_formula(families.cyclic(6), s3)))
-    rows.append(_row("aut(Z6xS3) by backtracking", 24, authom.aut_count(z6s3)))
-    rows.append(_row("phi(Z6xS3)", 20, phi(z6s3)))
-    rows.append(_row("|Z6xS3| exceeds aut count", True, z6s3.order > 24))
-    rows.append(_row("k(Z3xS3) = |G|/exp", True,
-                     authom.phi_order_match_check(z3s3).holds))
-    rows.append(_row("Q8 presentation attains exponent", True,
-                     classc.metacyclic_in_c(4, 2, 2, 3)))
-    rows.append(_row("exp-embedding of S3 lands in class C", True,
-                     classc.in_class_c(classc.embed_in_c(s3))))
-    rows.append(_row("solve phi = 2: number of groups", 5,
-                     len(classc.solve_phi_eq_prime(2).specs)))
-    rows.append(_row("solve phi = 7: Z2^3", ("Z2^3",),
-                     tuple(g.name for g in classc.solve_phi_eq_prime(7).specs)))
+        rows.append(ReportRow(f"phi(A{n})", expected,
+                              spectrum_by_enumeration(families.alternating(n)).phi()))
+    rows.append(ReportRow("phi(Z2xZ4) abelian formula", cf.phi_abelian_p(2, [1, 2]),
+                          phi(families.abelian([(2, [1, 2])]))))
+    rows.append(ReportRow("phi(D10) dihedral formula", cf.phi_dihedral(5),
+                          phi(families.dihedral(10))))
+    rows.append(ReportRow("phi(D12) dihedral formula", cf.phi_dihedral(6),
+                          phi(families.dihedral(12))))
+    rows.append(ReportRow("aut(Z6)", 2, authom.aut_count(families.cyclic(6))))
+    rows.append(ReportRow("aut(S3)", 6, authom.aut_count(s3)))
+    rows.append(ReportRow("hom(S3, Z6)", 2, authom.hom_count(s3, families.cyclic(6))))
+    rows.append(ReportRow("aut(Z6xS3) via product rule", 24,
+                          authom.aut_product_formula(families.cyclic(6), s3)))
+    rows.append(ReportRow("aut(Z6xS3) by backtracking", 24, authom.aut_count(z6s3)))
+    rows.append(ReportRow("phi(Z6xS3)", 20, phi(z6s3)))
+    rows.append(ReportRow("|Z6xS3| exceeds aut count", True, z6s3.order > 24))
+    rows.append(ReportRow("k(Z3xS3) = |G|/exp", True,
+                          authom.phi_order_match_check(z3s3).holds))
+    rows.append(ReportRow("Q8 presentation attains exponent", True,
+                          classc.metacyclic_in_c(4, 2, 2, 3)))
+    rows.append(ReportRow("exp-embedding of S3 lands in class C", True,
+                          classc.in_class_c(classc.embed_in_c(s3))))
+    rows.append(ReportRow("solve phi = 2: number of groups", 5,
+                          len(classc.solve_phi_eq_prime(2).specs)))
+    rows.append(ReportRow("solve phi = 7: Z2^3", ("Z2^3",),
+                          tuple(g.name for g in classc.solve_phi_eq_prime(7).specs)))
     m11 = families.mathieu11()
-    rows.append(_row("|M11|", 7920, len(m11.closure())))
-    rows.append(_row("exp(M11)", 1320, m11.spectrum().exponent()))
+    rows.append(ReportRow("|M11|", 7920, len(m11.closure())))
+    rows.append(ReportRow("exp(M11)", 1320, m11.spectrum().exponent()))
     big = families.direct_product([families.cyclic(1320), m11])
-    rows.append(_row("phi(Z1320xM11) > phi(1320)*|M11|", True,
-                     phi(big) > euler_phi(1320) * 7920))
+    rows.append(ReportRow("phi(Z1320xM11) > phi(1320)*|M11|", True,
+                          phi(big) > euler_phi(1320) * 7920))
     return rows
 
 
@@ -102,15 +117,15 @@ def suite_abelian() -> list[ReportRow]:
         cf.phi_abelian(ptype) == spectrum_by_enumeration(families.abelian(ptype)).phi()
         for _, ptype in cf.abelian_types_up_to(300)
     )
-    rows.append(_row("abelian formula = oracle for all types |G| <= 300", True, agree))
-    rows.append(_row("phi(Z2xZ4)", 4, cf.phi_abelian_p(2, [1, 2])))
-    rows.append(_row("phi(Z2^3)", 7, cf.phi_abelian_p(2, [1, 1, 1])))
-    rows.append(_row("phi(Z2xZ4xZ9)", 24, cf.phi_abelian([(2, [1, 2]), (3, [2])])))
+    rows.append(ReportRow("abelian formula = oracle for all types |G| <= 300", True, agree))
+    rows.append(ReportRow("phi(Z2xZ4)", 4, cf.phi_abelian_p(2, [1, 2])))
+    rows.append(ReportRow("phi(Z2^3)", 7, cf.phi_abelian_p(2, [1, 1, 1])))
+    rows.append(ReportRow("phi(Z2xZ4xZ9)", 24, cf.phi_abelian([(2, [1, 2]), (3, [2])])))
     bound_holds = all(
         cf.phi_abelian(ptype) >= euler_phi(order)
         for order, ptype in cf.abelian_types_up_to(300)
     )
-    rows.append(_row("abelian phi(G) >= phi(|G|) up to 300", True, bound_holds))
+    rows.append(ReportRow("abelian phi(G) >= phi(|G|) up to 300", True, bound_holds))
     hamiltonian_cases = [
         (0, [], 6),
         (1, [], 12),
@@ -125,90 +140,116 @@ def suite_abelian() -> list[ReportRow]:
         got = spectrum_by_enumeration(families.hamiltonian(n, a)).phi()
         if got != expected or cf.phi_hamiltonian(n, a_type) != expected:
             agree_h = False
-    rows.append(_row("hamiltonian formula = oracle on six cases", True, agree_h))
+    rows.append(ReportRow("hamiltonian formula = oracle on six cases", True, agree_h))
     return rows
 
 
+def dihedral_sweep(max_n: int) -> list[Mismatch]:
+    """phi and exp of D_2n by formula against the oracle, 2 <= n <= max_n."""
+    failures: list[Mismatch] = []
+    for n in range(2, max_n + 1):
+        g = families.dihedral(2 * n)
+        spec = spectrum_by_enumeration(g)
+        _compare(failures, "phi", g.name, cf.phi_dihedral(n), spec.phi())
+        _compare(failures, "exp", g.name, cf.exp_dihedral(n), spec.exponent())
+    return failures
+
+
 def suite_dihedral() -> list[ReportRow]:
-    rows = []
-    for n in range(2, 31):
-        rows.append(_row(f"phi(D{2 * n}) formula vs oracle", cf.phi_dihedral(n),
-                         spectrum_by_enumeration(families.dihedral(2 * n)).phi()))
-    exp_ok = all(
-        cf.exp_dihedral(n) == families.dihedral(2 * n).spectrum().exponent()
-        for n in range(2, 61)
-    )
-    rows.append(_row("dihedral exponent rule for n <= 60", True, exp_ok))
+    oracle = {(f.check, f.case): f.computed for f in dihedral_sweep(60)}
+    # each row takes its own mismatch; any mismatch left fails the exponent row
+    rows = [ReportRow(f"phi(D{2 * n}) formula vs oracle", cf.phi_dihedral(n),
+                      oracle.pop(("phi", f"D{2 * n}"), cf.phi_dihedral(n)))
+            for n in range(2, 31)]
+    rows.append(ReportRow("dihedral exponent rule for n <= 60", True, not oracle))
     pgroup_zero = all(
         spectrum_by_enumeration(families.p_group_P(p, q, n)).phi() == 0
         for p, q, n in ((3, 2, 2), (3, 2, 3), (5, 2, 2), (7, 3, 2))
     )
-    rows.append(_row("nonabelian power-automorphism groups have phi = 0", True,
-                     pgroup_zero))
+    rows.append(ReportRow("nonabelian power-automorphism groups have phi = 0", True,
+                          pgroup_zero))
     return rows
+
+
+def metacyclic_sweep(max_m: int, max_n: int) -> list[Mismatch]:
+    """Metacyclic formulas against the oracle, every presentation m <= max_m, n <= max_n.
+
+    The exponent formula and the order profile against the enumerated
+    spectrum, the attainment test against phi != 0, attainment wherever the
+    divisibility test holds, and on the dihedral slice (n = 2, s = 0,
+    r = m - 1) attainment exactly when m is even.
+    """
+    failures: list[Mismatch] = []
+    for params in cf.valid_metacyclic_presentations(max_m, max_n):
+        g = families.metacyclic(*params)
+        spec = spectrum_by_enumeration(g)
+        attained = spec.phi() != 0
+        _compare(failures, "exponent", g.name, cf.metacyclic_exponent(*params), spec.exponent())
+        _compare(failures, "profile", g.name, cf.metacyclic_order_profile(*params),
+                 dict(spec.entries))
+        _compare(failures, "attainment", g.name, classc.metacyclic_in_c(*params), attained)
+        if cf.metacyclic_divisibility_criterion(*params):
+            _compare(failures, "divisibility", g.name, True, attained)
+        m, n, s, r = params
+        if m >= 2 and n == 2 and s == 0 and r == m - 1:
+            _compare(failures, "dihedral slice", g.name, m % 2 == 0, attained)
+    return failures
 
 
 def suite_metacyclic() -> list[ReportRow]:
-    rows = []
-    exp_ok = True
-    attain_ok = True
-    sufficient_ok = True
-    for m, n, s, r in cf.valid_metacyclic_presentations(16, 6):
-        g = families.metacyclic(m, n, s, r)
-        spec = spectrum_by_enumeration(g)
-        if cf.metacyclic_exponent(m, n, s, r) != spec.exponent():
-            exp_ok = False
-        attained = spec.phi() != 0
-        if classc.metacyclic_in_c(m, n, s, r) != attained:
-            attain_ok = False
-        if cf.metacyclic_divisibility_criterion(m, n, s, r) and not attained:
-            sufficient_ok = False
-    rows.append(_row("exponent formula = oracle (m <= 16, n <= 6)", True, exp_ok))
-    rows.append(_row("attainment test = oracle (m <= 16, n <= 6)", True, attain_ok))
-    rows.append(_row("divisibility test implies attainment", True, sufficient_ok))
-    slice_ok = all(
-        classc.metacyclic_in_c(m, 2, 0, m - 1) == (m % 2 == 0)
-        for m in range(2, 41)
-    )
-    rows.append(_row("dihedral slice: in C iff rotation order even", True, slice_ok))
-    rows.append(_row("order of b in Q8 presentation", 4,
-                     families.metacyclic(4, 2, 2, 3).element_order((1, 0))))
-    return rows
+    failed = {f.check for f in metacyclic_sweep(16, 6)}
+    # the profile refines the exponent formula order by order
+    return [
+        ReportRow("exponent formula = oracle (m <= 16, n <= 6)", True,
+                  not failed & {"exponent", "profile"}),
+        ReportRow("attainment test = oracle (m <= 16, n <= 6)", True, "attainment" not in failed),
+        ReportRow("divisibility test implies attainment", True, "divisibility" not in failed),
+        ReportRow("dihedral slice: in C iff rotation order even", True,
+                  "dihedral slice" not in failed),
+        ReportRow("order of b in Q8 presentation", 4,
+                  families.metacyclic(4, 2, 2, 3).element_order((1, 0))),
+    ]
+
+
+def cycle_type_sweep(max_n: int) -> list[Mismatch]:
+    """Cycle-type engine and exponent formulas of S_n, A_n against enumeration, n <= max_n."""
+    failures: list[Mismatch] = []
+    for label, build, engine, exp_formula, first in (
+        ("S_n", families.symmetric, cf.symmetric_order_spectrum, cf.exp_symmetric, 1),
+        ("A_n", families.alternating, cf.alternating_order_spectrum, cf.exp_alternating, 2),
+    ):
+        for n in range(first, max_n + 1):
+            g = build(n)
+            spec = spectrum_by_enumeration(g)
+            _compare(failures, label, f"spectrum({g.name})", dict(engine(n)), dict(spec.entries))
+            _compare(failures, label, f"exp({g.name})", exp_formula(n), spec.exponent())
+    return failures
 
 
 def suite_symmetric() -> list[ReportRow]:
+    failed = {f.check for f in cycle_type_sweep(7)}
     rows = []
-    rows.append(_row("phi(S_n) = 0 for 3 <= n <= 25", True,
-                     all(cf.phi_symmetric(n) == 0 for n in range(3, 26))))
-    rows.append(_row("phi(A_n) = 0 for 4 <= n <= 25", True,
-                     all(cf.phi_alternating(n) == 0 for n in range(4, 26))))
-    rows.append(_row("phi(S1), phi(S2)", (1, 1),
-                     (cf.phi_symmetric(1), cf.phi_symmetric(2))))
-    rows.append(_row("phi(A2), phi(A3)", (1, 2),
-                     (cf.phi_alternating(2), cf.phi_alternating(3))))
-    rows.append(_row("exp(S4)", 12, cf.exp_symmetric(4)))
-    rows.append(_row("S4 has no element of order 12", 0,
-                     cf.count_order_symmetric(4, 12)))
-    rows.append(_row("order-6 elements of S5", 20, cf.count_order_symmetric(5, 6)))
-    engine_matches_enum = all(
-        cf.symmetric_order_spectrum(n)
-        == spectrum_by_enumeration(families.symmetric(n)).entries
-        for n in range(1, 8)
-    )
-    rows.append(_row("cycle-type engine = enumeration for S_n, n <= 7", True,
-                     engine_matches_enum))
-    alt_matches_enum = all(
-        cf.alternating_order_spectrum(n)
-        == spectrum_by_enumeration(families.alternating(n)).entries
-        for n in range(2, 8)
-    )
-    rows.append(_row("cycle-type engine = enumeration for A_n, n <= 7", True,
-                     alt_matches_enum))
+    rows.append(ReportRow("phi(S_n) = 0 for 3 <= n <= 25", True,
+                          all(cf.phi_symmetric(n) == 0 for n in range(3, 26))))
+    rows.append(ReportRow("phi(A_n) = 0 for 4 <= n <= 25", True,
+                          all(cf.phi_alternating(n) == 0 for n in range(4, 26))))
+    rows.append(ReportRow("phi(S1), phi(S2)", (1, 1),
+                          (cf.phi_symmetric(1), cf.phi_symmetric(2))))
+    rows.append(ReportRow("phi(A2), phi(A3)", (1, 2),
+                          (cf.phi_alternating(2), cf.phi_alternating(3))))
+    rows.append(ReportRow("exp(S4)", 12, cf.exp_symmetric(4)))
+    rows.append(ReportRow("S4 has no element of order 12", 0,
+                          cf.count_order_symmetric(4, 12)))
+    rows.append(ReportRow("order-6 elements of S5", 20, cf.count_order_symmetric(5, 6)))
+    rows.append(ReportRow("cycle-type engine = enumeration for S_n, n <= 7", True,
+                          "S_n" not in failed))
+    rows.append(ReportRow("cycle-type engine = enumeration for A_n, n <= 7", True,
+                          "A_n" not in failed))
     totals_ok = all(
         sum(cf.symmetric_order_spectrum(n).values()) == math.factorial(n)
         for n in range(1, 16)
     )
-    rows.append(_row("cycle-type counts sum to n! for n <= 15", True, totals_ok))
+    rows.append(ReportRow("cycle-type counts sum to n! for n <= 15", True, totals_ok))
     return rows
 
 
@@ -248,53 +289,68 @@ def abelian_phi_aut_sweep(bound: int) -> tuple[list[PhiAut], list[str]]:
 
 def suite_aut() -> list[ReportRow]:
     rows = []
-    rows.append(_row("aut(Z_n) = phi(n) for n <= 48", True,
-                     all(authom.aut_count_matches_classical(n) for n in range(1, 49))))
-    rows.append(_row("aut(Z1)", 1, authom.aut_count(families.cyclic(1))))
-    rows.append(_row("aut(S3)", 6, authom.aut_count(families.symmetric(3))))
-    rows.append(_row("hom(Z4, Z2)", 2,
-                     authom.hom_count(families.cyclic(4), families.cyclic(2))))
-    rows.append(_row("abelian phi <= aut, equality iff cyclic (|G| <= 64)", True,
-                     all(r.holds for r in abelian_phi_aut_sweep(64)[0])))
+    rows.append(ReportRow("aut(Z_n) = phi(n) for n <= 48", True,
+                          all(authom.aut_count(families.cyclic(n)) == euler_phi(n)
+                              for n in range(1, 49))))
+    rows.append(ReportRow("aut(Z1)", 1, authom.aut_count(families.cyclic(1))))
+    rows.append(ReportRow("aut(S3)", 6, authom.aut_count(families.symmetric(3))))
+    rows.append(ReportRow("hom(Z4, Z2)", 2,
+                          authom.hom_count(families.cyclic(4), families.cyclic(2))))
+    rows.append(ReportRow("abelian phi <= aut, equality iff cyclic (|G| <= 64)", True,
+                          all(r.holds for r in abelian_phi_aut_sweep(64)[0])))
     trivial_center = all(
         phi(g) < g.order <= authom.aut_count(g)
         for g in (families.symmetric(3), families.symmetric(4),
                   families.alternating(5), families.dihedral(10))
     )
-    rows.append(_row("trivial center: phi < |G| <= aut", True, trivial_center))
+    rows.append(ReportRow("trivial center: phi < |G| <= aut", True, trivial_center))
     screen_d8 = authom.phi_aut_screen(families.dihedral(8))
-    rows.append(_row("D8 screened out by |G| >= exp^2", (False, False),
-                     (screen_d8.cond_i, screen_d8.is_counterexample)))
+    rows.append(ReportRow("D8 screened out by |G| >= exp^2", (False, False),
+                          (screen_d8.cond_i, screen_d8.is_counterexample)))
     z6s3 = families.direct_product([families.cyclic(6), families.symmetric(3)])
     screen = authom.phi_aut_screen(z6s3)
-    rows.append(_row("Z6xS3 passes the screen but is no counterexample",
-                     (True, False), (screen.cond_i, screen.is_counterexample)))
+    rows.append(ReportRow("Z6xS3 passes the screen but is no counterexample",
+                          (True, False), (screen.cond_i, screen.is_counterexample)))
     m11 = families.mathieu11()
     big = families.direct_product([families.cyclic(1320), m11])
     screen_big = authom.phi_aut_screen(big, aut_override=euler_phi(1320) * 7920)
-    rows.append(_row("Z1320xM11 beats its aut count", True,
-                     screen_big.is_counterexample))
+    rows.append(ReportRow("Z1320xM11 beats its aut count", True,
+                          screen_big.is_counterexample))
     return rows
+
+
+def class_c_sweep(max_order: int) -> list[Mismatch]:
+    """The three class-C tests against each other on standard_catalog(max_order).
+
+    phi != 0, lcm-closure of the element orders and the existence of a
+    commuting witness must coincide, and each witness must have the
+    prime-power parts of exp(G) as its orders and commute pairwise.
+    """
+    failures: list[Mismatch] = []
+    for g in classc.standard_catalog(max_order):
+        member = classc.in_class_c(g)
+        _compare(failures, "sublattice", g.name, member, classc.sublattice_check(g))
+        witness = commuting_witness(g)
+        _compare(failures, "witness", g.name, member, witness is not None)
+        if witness:
+            targets = sorted(p**a for p, a in factorize(g.spectrum().exponent()).items())
+            _compare(failures, "witness orders", g.name, targets,
+                     sorted(g.element_order(x) for x in witness))
+            commute = all(g.multiply(a, b) == g.multiply(b, a)
+                          for i, a in enumerate(witness) for b in witness[i + 1:])
+            _compare(failures, "witness commutes", g.name, True, commute)
+    return failures
 
 
 def suite_class_c() -> list[ReportRow]:
     rows = []
-    catalog = classc.standard_catalog(400)
-    triple_ok = True
-    from .core import commuting_witness
-
-    for g in catalog:
-        member = classc.in_class_c(g)
-        if classc.sublattice_check(g) != member:
-            triple_ok = False
-        if (commuting_witness(g) is not None) != member:
-            triple_ok = False
-    rows.append(_row("phi != 0 = sublattice = witness (catalog <= 400)", True,
-                     triple_ok))
-    rows.append(_row("D12 in class C", True, classc.in_class_c(families.dihedral(12))))
-    rows.append(_row("S3 not in class C", False, classc.in_class_c(families.symmetric(3))))
-    rows.append(_row("A4 fails the lcm closure", False,
-                     classc.sublattice_check(families.alternating(4))))
+    rows.append(ReportRow("phi != 0 = sublattice = witness (catalog <= 400)", True,
+                          not class_c_sweep(400)))
+    rows.append(ReportRow("D12 in class C", True, classc.in_class_c(families.dihedral(12))))
+    rows.append(ReportRow("S3 not in class C", False,
+                          classc.in_class_c(families.symmetric(3))))
+    rows.append(ReportRow("A4 fails the lcm closure", False,
+                          classc.sublattice_check(families.alternating(4))))
     members = [g for g in classc.standard_catalog(100) if classc.in_class_c(g)]
     closed = True
     for i, g1 in enumerate(members):
@@ -303,15 +359,15 @@ def suite_class_c() -> list[ReportRow]:
                 prod = families.direct_product([g1, g2])
                 if not classc.in_class_c(prod):
                     closed = False
-    rows.append(_row("class C closed under direct products (sampled)", True, closed))
+    rows.append(ReportRow("class C closed under direct products (sampled)", True, closed))
     for p, names in ((2, ("Z3", "Z4", "Z6", "D8", "D12")), (3, ("Z2^2",)),
                      (5, ()), (7, ("Z2^3",))):
         sol = classc.solve_phi_eq_prime(p)
-        rows.append(_row(f"solve phi = {p}", tuple(names),
-                         tuple(g.name for g in sol.specs)))
+        rows.append(ReportRow(f"solve phi = {p}", tuple(names),
+                              tuple(g.name for g in sol.specs)))
     scan = classc.catalog_scan(2, 16)
-    rows.append(_row("catalog scan (target 2, bound 16): orders",
-                     (3, 4, 6, 8, 12), tuple(g.order for g in scan)))
+    rows.append(ReportRow("catalog scan (target 2, bound 16): orders",
+                          (3, 4, 6, 8, 12), tuple(g.order for g in scan)))
     return rows
 
 

@@ -10,8 +10,8 @@ from functools import lru_cache
 from gentotient import authom, classc, verification
 from gentotient import closedforms as cf
 from gentotient import families as fam
-from gentotient.core import commuting_witness, spectrum_by_enumeration
-from gentotient.numtheory import euler_phi, factorize
+from gentotient.core import spectrum_by_enumeration
+from gentotient.numtheory import euler_phi
 
 
 def announce(number, text):
@@ -79,10 +79,8 @@ def test_criterion_03_hamiltonian_formula_vs_oracle_up_to_5000():
 
 
 def test_criterion_04_dihedral_and_power_automorphism_groups():
-    """Dihedral piecewise formula for 2 <= n <= 100; P-groups have phi = 0."""
-    for n in range(2, 101):
-        assert cf.phi_dihedral(n) == \
-            spectrum_by_enumeration(fam.dihedral(2 * n)).phi(), n
+    """Dihedral phi and exp formulas for 2 <= n <= 100; P-groups have phi = 0."""
+    assert verification.dihedral_sweep(100) == []
     pqn = [(3, 2, n) for n in (2, 3, 4)] + [(5, 2, n) for n in (2, 3)] + \
           [(7, 3, n) for n in (2, 3)] + [(13, 3, 2)]
     for p, q, n in pqn:
@@ -91,26 +89,18 @@ def test_criterion_04_dihedral_and_power_automorphism_groups():
 
 
 def test_criterion_05_symmetric_alternating_partition_engine():
-    """Zero phi up to n = 30; exponents and per-order counts vs enumeration."""
+    """Zero phi up to n = 30; exponents and per-order counts vs enumeration to 10."""
     for n in range(3, 31):
         assert cf.phi_symmetric(n) == 0, n
     for n in range(4, 31):
         assert cf.phi_alternating(n) == 0, n
-    for n in range(1, 11):
-        assert cf.exp_symmetric(n) == \
-            spectrum_by_enumeration(fam.symmetric(n)).exponent(), n
     for n in range(2, 31):
         by_partitions = 1
         for parts in cf._partition_tuples(n):
             if (n - len(parts)) % 2 == 0:
                 by_partitions = math.lcm(by_partitions, math.lcm(*parts))
         assert cf.exp_alternating(n) == by_partitions, n
-    for n in range(1, 9):
-        assert cf.symmetric_order_spectrum(n) == \
-            spectrum_by_enumeration(fam.symmetric(n)).entries, n
-    for n in range(2, 9):
-        assert cf.alternating_order_spectrum(n) == \
-            spectrum_by_enumeration(fam.alternating(n)).entries, n
+    assert verification.cycle_type_sweep(10) == []
     announce(5, "cycle-type engine: zeros to n = 30, exponents and counts exact")
 
 
@@ -187,17 +177,8 @@ def test_criterion_09_abelian_phi_bounded_by_aut():
 
 
 def test_criterion_10_metacyclic_criterion_full_sweep():
-    """Attainment test and exponent formula vs oracle, m <= 40, n <= 12."""
-    total = 0
-    for m, n, s, r in cf.valid_metacyclic_presentations(40, 12):
-        spec = spectrum_by_enumeration(fam.metacyclic(m, n, s, r))
-        assert cf.metacyclic_exponent(m, n, s, r) == spec.exponent(), (m, n, s, r)
-        attained = spec.phi() != 0
-        assert classc.metacyclic_in_c(m, n, s, r) == attained, (m, n, s, r)
-        if cf.metacyclic_divisibility_criterion(m, n, s, r):
-            assert attained, (m, n, s, r)
-        if m >= 2 and n == 2 and r == m - 1 and s == 0:
-            assert attained == (m % 2 == 0), m
+    """Attainment test, exponent formula and order profile vs oracle, m <= 40, n <= 12."""
+    assert verification.metacyclic_sweep(40, 12) == []
     total = sum(1 for _ in cf.valid_metacyclic_presentations(40, 12))
     assert total > 10_000
     announce(10, f"metacyclic criterion = oracle on {total} presentations; "
@@ -206,21 +187,8 @@ def test_criterion_10_metacyclic_criterion_full_sweep():
 
 def test_criterion_11_triple_equivalence_on_catalog():
     """phi != 0, lcm-closed orders, and commuting witnesses coincide."""
-    count = 0
-    for group in catalog_2000():
-        member = classc.in_class_c(group)
-        assert classc.sublattice_check(group) == member, group.name
-        witness = commuting_witness(group)
-        assert (witness is not None) == member, group.name
-        if witness:
-            exp = group.spectrum().exponent()
-            targets = sorted(p**a for p, a in factorize(exp).items())
-            assert sorted(group.element_order(x) for x in witness) == targets
-            for i, a in enumerate(witness):
-                for b in witness[i + 1:]:
-                    assert group.multiply(a, b) == group.multiply(b, a)
-        count += 1
-    announce(11, f"triple equivalence on all {count} catalog groups <= 2000")
+    assert verification.class_c_sweep(2000) == []
+    announce(11, f"triple equivalence on all {len(catalog_2000())} catalog groups <= 2000")
 
 
 def test_criterion_12_prime_equation_solver_and_scan():

@@ -104,24 +104,27 @@ def test_caps_refuse_rather_than_degrade():
         authom.aut_count(fam.abelian([(2, [1, 2, 2, 2])]))  # search-size guard
     with pytest.raises(ResourceLimitError):
         authom.hom_count(fam.symmetric(3), fam.cyclic(500))
+    with pytest.raises(ResourceLimitError, match=r"\|Z2\^20000\| = a 6021-digit number exceeds"):
+        authom.aut_count(fam.elementary_abelian(2, 20000))  # too long to print
 
 
-def test_generator_presentation_closure():
-    pres = authom.generator_presentation(fam.dihedral(12))
-    group = pres.group
+def test_greedy_generators_generate_the_group():
+    group = fam.dihedral(12)
+    mat = authom.MaterializedGroup(group)
+    generators = [mat.elements[g] for g in authom.greedy_generators(mat)]
     closure = {group.identity()}
     frontier = [group.identity()]
     while frontier:
         nxt = []
         for x in frontier:
-            for g in pres.generators:
+            for g in generators:
                 y = group.multiply(x, g)
                 if y not in closure:
                     closure.add(y)
                     nxt.append(y)
         frontier = nxt
     assert len(closure) == group.order
-    assert len(pres.generators) <= 2
+    assert len(generators) <= 2
 
 
 def test_center_size():

@@ -1,10 +1,17 @@
 """Command-line surface: expressions, formats, exit codes, import registry."""
 
+import contextlib
+import io
 import json
+import os
 import subprocess
 import sys
+import time
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gentotient import cli
 from gentotient import families as fam
@@ -95,6 +102,104 @@ def test_eval_bad_constructor_parameters(capsys):
     code, _, err = run_cli(capsys, "eval", "MC(4,2,1,3)", "phi")
     assert code == cli.EXIT_USAGE
     assert "rejected" in err or "metacyclic" in err
+
+
+def test_eval_order_of_a_metacyclic_group_beyond_the_cap_is_immediate(capsys):
+    # the constructor builds no table of r^k, so n may be far beyond any cap
+    assert fam.metacyclic(10**8, 10**7, 0, 1)._rpow is None
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "eval", "MC(100000000,100000000,0,1)", "order")
+    assert (code, out) == (0, f"{10**16}\n")
+    code, out, err = run_cli(capsys, "eval", "MC(100000000,100000000,0,1)", "phi")
+    assert (code, out) == (cli.EXIT_RESOURCE, "")
+    assert "exceeds the enumeration cap" in err
+    assert time.perf_counter() - start < 5
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+@pytest.mark.parametrize("fmt", [(), ("--json",)])
+@pytest.mark.parametrize("expr, digits", [("Z2^100000", 30103), ("S100000", 456574),
+                                          ("P(3,2,100000)", 47712)])
+def test_eval_order_too_long_to_print_exits_3_naming_it(capsys, expr, digits, fmt):
+    code, out, err = run_cli(capsys, "eval", expr, "order", *fmt)
+    assert (code, out) == (cli.EXIT_RESOURCE, "")
+    limit = sys.get_int_max_str_digits()
+    assert err == (f"error: the order of {expr} has {digits} decimal digits; "
+                   f"at most {limit} can be printed\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
+def test_eval_refuses_any_quantity_too_long_to_print(capsys):
+    expr = "x".join(["Z7"] * 800)  # phi = 7^800 - 1 has 677 digits
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run_cli(capsys, "eval", expr, "phi")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (cli.EXIT_RESOURCE, "")
+    assert err.endswith("has 677 decimal digits; at most 640 can be printed\n")
+
+
+def test_composite_power_is_an_abelian_group_under_the_cap(capsys):
+    g = cli.parse_group_expression("Z6^3")
+    assert g.name == "Z6^3" and g.order == 216
+    assert g.spectrum().entries == {1: 1, 2: 7, 3: 26, 6: 182}
+    code, _, err = run_cli(capsys, "eval", "Z6^20000", "phi")
+    assert code == cli.EXIT_RESOURCE
+    assert err.startswith("error: |Z6^20000| = a 15564-digit number exceeds the enumeration cap")
+    assert cli.parse_group_expression("Z1^5").order == 1
+
+
+# -- fuzzed expressions ------------------------------------------------------------
+
+PARAM = st.one_of(st.integers(0, 16), st.integers(0, 10**5))
+POWER = st.one_of(st.integers(0, 12), st.integers(0, 2 * 10**4))
+FACTOR = st.one_of(
+    st.just("M11"),
+    st.just(""),
+    st.builds("Z{}".format, PARAM),
+    st.builds("Z{}^{}".format, PARAM, POWER),
+    st.builds("{}{}".format, st.sampled_from(["D", "Q", "SD"]), PARAM),
+    st.builds("{}{}".format, st.sampled_from(["S", "A"]), POWER),
+    st.builds("MC({},{},{},{})".format, PARAM, PARAM, PARAM, PARAM),
+    st.builds("P({},{},{})".format, PARAM, PARAM, PARAM),
+    st.lists(st.tuples(PARAM, st.lists(POWER, min_size=1, max_size=3)), min_size=1, max_size=3)
+    .map(lambda chunks: "Ab({})".format(
+        ";".join(f"{p}:{','.join(map(str, alphas))}" for p, alphas in chunks))),
+)
+
+
+@st.composite
+def expressions(draw):
+    expr = "x".join(draw(st.lists(FACTOR, min_size=1, max_size=3)))
+    paren = draw(st.sampled_from(["", "(", ")", "()", ")("]))
+    at = draw(st.integers(0, len(expr)))
+    return expr[:at] + paren + expr[at:]
+
+
+# each enumeration stays small: a cap of 10^6 elements bounds time and memory
+@settings(max_examples=300, deadline=None)
+@given(expr=expressions(), quantity=st.sampled_from(cli.QUANTITIES),
+       as_json=st.booleans())
+def test_eval_fuzzed_expressions_exit_cleanly(expr, quantity, as_json):
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["eval", expr, quantity] + (["--json"] if as_json else [])
+    with mock.patch.dict(os.environ, {"GENTOTIENT_MAX_ELEMENTS": str(10**6)}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # an exception escaping main would be a traceback
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1
+    try:
+        cli.parse_group_expression(expr)
+    except cli.ExpressionError:
+        return
+    assert code != cli.EXIT_USAGE, err.getvalue()
 
 
 # -- verify ----------------------------------------------------------------------

@@ -70,7 +70,7 @@ def test_identity_law(group):
 def test_inverses_exist(group):
     e = group.identity()
     for i, x in enumerate(group.elements()):
-        assert group.multiply(x, group.inverse(x)) == e
+        assert group.multiply(x, group.power(x, group.element_order(x) - 1)) == e
         if i > 40:
             break
 

@@ -11,7 +11,13 @@ import gentotient.closedforms as cf
 from gentotient import core
 from gentotient import families as fam
 from gentotient.classc import standard_catalog
-from gentotient.core import CayleyTableGroup, Group, IntegrityError, spectrum_by_enumeration
+from gentotient.core import (
+    CayleyTableGroup,
+    Group,
+    IntegrityError,
+    PermutationClosureGroup,
+    spectrum_by_enumeration,
+)
 
 METACYCLIC = list(cf.valid_metacyclic_presentations(24, 8))
 P_PARAMS = [(p, q, n) for p in (3, 5, 7, 11, 13) for q in (2, 3, 5)
@@ -60,7 +66,7 @@ def small_group(draw):
         return fam.abelian([(2, [1, draw(st.integers(1, 2))]), (3, [1])])
     if pick == 3:
         return draw(st.sampled_from([fam.symmetric(3), fam.alternating(4), fam.p_group_P(3, 2, 2)]))
-    return fam.permutation_group(D8_GENERATORS)
+    return PermutationClosureGroup(D8_GENERATORS)
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,7 +159,7 @@ def test_engine_symmetric_and_alternating(n):
 
 
 def test_engine_permutation_closure():
-    assert_engine_matches_payloads(fam.permutation_group(D8_GENERATORS))
+    assert_engine_matches_payloads(PermutationClosureGroup(D8_GENERATORS))
 
 
 def test_engine_refuses_a_broken_index_map():
@@ -184,7 +190,7 @@ def test_oracle_never_calls_closed_forms(monkeypatch):
         "p-group-P": fam.p_group_P(7, 3, 2),
         "symmetric": fam.symmetric(5),
         "alternating": fam.alternating(5),
-        "permutation-closure": fam.permutation_group(D8_GENERATORS),
+        "permutation-closure": PermutationClosureGroup(D8_GENERATORS),
         "direct-product": fam.direct_product([fam.cyclic(6), fam.symmetric(3)]),
         "cayley-table": CayleyTableGroup(
             relabeled_table(table_source, list(range(table_source.order)))),

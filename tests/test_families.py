@@ -234,8 +234,3 @@ def test_direct_product_with_trivial_factor():
 def test_product_with_mathieu_exceeds_classical_bound():
     big = fam.direct_product([fam.cyclic(1320), fam.mathieu11()])
     assert gt.phi(big) > euler_phi(1320) * 7920
-
-
-def test_abelian_type_of_integer():
-    assert fam.abelian_type_of_integer(12) == [(2, [2]), (3, [1])]
-    assert fam.abelian_type_of_integer(1) == []
