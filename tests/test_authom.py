@@ -108,7 +108,7 @@ def test_caps_refuse_rather_than_degrade():
         authom.aut_count(fam.elementary_abelian(2, 20000))  # too long to print
 
 
-def test_greedy_generators_generate_the_group():
+def test_generator_presentation_closure():
     group = fam.dihedral(12)
     mat = authom.MaterializedGroup(group)
     generators = [mat.elements[g] for g in authom.greedy_generators(mat)]

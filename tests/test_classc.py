@@ -3,7 +3,7 @@
 import pytest
 
 import gentotient as gt
-from gentotient import classc
+from gentotient import classc, verification
 from gentotient import families as fam
 from gentotient.core import spectrum_by_enumeration
 
@@ -23,11 +23,20 @@ def test_sublattice_check_examples():
     assert not classc.sublattice_check(fam.alternating(4))
 
 
+def test_triple_equivalence_on_catalog():
+    assert verification.class_c_sweep(600) == []
+
+
 def test_metacyclic_in_c_examples():
     for m in range(2, 26):
         assert classc.metacyclic_in_c(m, 2, 0, m - 1) == (m % 2 == 0)
     assert classc.metacyclic_in_c(4, 2, 2, 3)       # quaternion presentation
     assert not classc.metacyclic_in_c(5, 2, 0, 4)   # pentagon symmetries
+
+
+def test_metacyclic_in_c_matches_oracle():
+    mismatches = verification.metacyclic_sweep(10, 5)
+    assert [f for f in mismatches if f.check == "attainment"] == []
 
 
 def test_catalog_generates_only_the_presentations_it_keeps():

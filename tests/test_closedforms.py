@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import gentotient as gt
 from gentotient import closedforms as cf
 from gentotient import families as fam
+from gentotient import verification
 from gentotient.core import PARTITION_ENGINE_LIMIT, ResourceLimitError, spectrum_by_enumeration
 from gentotient.numtheory import decimal_digits, euler_phi, multiplicative_order
 
@@ -119,11 +120,12 @@ def test_phi_hamiltonian_examples():
         cf.phi_hamiltonian(0, [(2, [1])])
 
 
-def test_phi_dihedral_examples():
+def test_phi_dihedral_examples_and_sweep():
     assert cf.phi_dihedral(4) == 2
     assert cf.phi_dihedral(3) == 0
     assert cf.phi_dihedral(6) == 2
     assert cf.phi_dihedral(2) == 3
+    assert verification.dihedral_sweep(40) == []
 
 
 # -- symmetric / alternating ----------------------------------------------------
@@ -139,6 +141,10 @@ def test_exp_alternating_examples():
     assert cf.exp_alternating(4) == 6
     assert cf.exp_alternating(5) == 30
     assert cf.exp_alternating(6) == 60 == cf.exp_symmetric(6)
+
+
+def test_exp_against_enumeration():
+    assert verification.cycle_type_sweep(7) == []
 
 
 def test_count_order_examples():
@@ -233,6 +239,15 @@ def test_prime_power_parts_of_symmetric_exponent():
         assert total > n
 
 
+def test_alternating_branch_matches_even_partition_lcm():
+    for n in range(2, 26):
+        by_partitions = 1
+        for parts in cf._partition_tuples(n):
+            if (n - len(parts)) % 2 == 0:
+                by_partitions = math.lcm(by_partitions, math.lcm(*parts))
+        assert cf.exp_alternating(n) == by_partitions
+
+
 # -- metacyclic ----------------------------------------------------------------
 
 
@@ -240,6 +255,10 @@ def test_metacyclic_exponent_examples():
     assert cf.metacyclic_exponent(4, 2, 2, 3) == 4
     assert cf.metacyclic_exponent(7, 1, 0, 1) == 7
     assert cf.metacyclic_exponent(6, 2, 0, 5) == 6
+
+
+def test_metacyclic_exponent_and_profile_sweep():
+    assert verification.metacyclic_sweep(12, 6) == []
 
 
 def test_metacyclic_divisibility_is_sufficient_not_necessary():
