@@ -29,7 +29,6 @@ from .core import (
     cyclic_count_max,
     enumeration_cap,
     exponent,
-    lcm_convolve,
     multiply,
     order,
     order_spectrum,

@@ -35,15 +35,14 @@ from .numtheory import size_text
 AUT_ORDER_CAP = 256      # largest |G| the counters will materialize
 AUT_GENERATOR_CAP = 4    # refuse greedy generating sets larger than this
 AUT_SEARCH_CAP = 1_200_000  # refuse candidate-image products larger than this
-TABLE_BLOCK = 512        # index pairs per batch product; bounds the temporaries
 
 
 class MaterializedGroup:
     """Index-based multiplication table for fast search.
 
     Indices follow ``group.elements()``; index 0 is the identity.  The table
-    comes from batch products over blocks of index pairs, and the element
-    orders are the group's cached order array.
+    comes from one batch product over all n^2 index pairs (n is at most the
+    cap), and the element orders are the group's cached order array.
     """
 
     def __init__(self, group: Group, cap: int = AUT_ORDER_CAP):
@@ -55,14 +54,8 @@ class MaterializedGroup:
         self.group = group
         self.orders = group.element_orders().tolist()
         idx = np.arange(n, dtype=np.int32)
-        rows = max(1, TABLE_BLOCK // n)
-        self.table = []
-        for lo in range(0, n, rows):
-            left = idx[lo:lo + rows]
-            products = group.index_product(np.repeat(left, n), np.tile(idx, len(left)))
-            self.table += products.reshape(len(left), n).tolist()
-        self.elements = group.payloads(idx)
-        self.identity = 0
+        products = group.index_product(np.repeat(idx, n), np.tile(idx, n))
+        self.table = products.reshape(n, n).tolist()
         self.n = n
         buckets: dict[int, list[int]] = {}
         for i, o in enumerate(self.orders):
@@ -70,9 +63,9 @@ class MaterializedGroup:
         self.order_buckets = buckets
 
 
-def _closure_ids(table, gens, identity) -> list[int]:
-    sub = [identity]
-    seen = {identity}
+def _closure_ids(table, gens) -> list[int]:
+    sub = [0]
+    seen = {0}
     idx = 0
     while idx < len(sub):
         x = sub[idx]
@@ -89,7 +82,7 @@ def greedy_generators(mat: MaterializedGroup) -> list[int]:
     """Generating set grown by repeatedly taking a maximal-order element
     outside the closure so far (smallest index on ties)."""
     gens: list[int] = []
-    closure = {mat.identity}
+    closure = {0}
     while len(closure) < mat.n:
         best = -1
         best_order = 0
@@ -97,7 +90,7 @@ def greedy_generators(mat: MaterializedGroup) -> list[int]:
             if i not in closure and mat.orders[i] > best_order:
                 best, best_order = i, mat.orders[i]
         gens.append(best)
-        closure = set(_closure_ids(mat.table, gens, mat.identity))
+        closure = set(_closure_ids(mat.table, gens))
     return gens
 
 
@@ -126,10 +119,10 @@ def _morphism_search(src: MaterializedGroup, dst: MaterializedGroup,
     stable = src.table
     dtable = dst.table
     img = [-1] * src.n
-    img[src.identity] = dst.identity
+    img[0] = 0  # identity to identity
     used = bytearray(dst.n)
-    used[dst.identity] = 1
-    sub = [src.identity]
+    used[0] = 1
+    sub = [0]
     assigned: list[int] = []
 
     def extend(new_gen: int, new_img: int) -> bool:

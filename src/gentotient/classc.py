@@ -17,7 +17,7 @@ from . import families
 from .closedforms import (
     _metacyclic_presentations_of,
     abelian_types_up_to,
-    metacyclic_attains_exponent,
+    metacyclic_order_profile,
 )
 from .core import DirectProductGroup, Group, IntegrityError
 from .numtheory import is_prime
@@ -51,7 +51,8 @@ def metacyclic_in_c(m: int, n: int, s: int, r: int) -> bool:
     presentations where an element outside <a> attains the exponent; see
     metacyclic_divisibility_criterion.
     """
-    return metacyclic_attains_exponent(m, n, s, r)
+    profile = metacyclic_order_profile(m, n, s, r)
+    return math.lcm(*profile) in profile
 
 
 def embed_in_c(group: Group) -> DirectProductGroup:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -63,36 +64,49 @@ _FACTOR_PATTERNS = [
     (re.compile(r"^D(\d+)$"), lambda m, reg: families.dihedral(int(m.group(1)))),
     (re.compile(r"^Q(\d+)$"), lambda m, reg: families.generalized_quaternion(int(m.group(1)))),
     (re.compile(r"^SD(\d+)$"), lambda m, reg: families.quasidihedral(int(m.group(1)))),
-    (re.compile(r"^S(\d+)$"), lambda m, reg: families.symmetric(int(m.group(1)))),
-    (re.compile(r"^A(\d+)$"), lambda m, reg: families.alternating(int(m.group(1)))),
+    (re.compile(r"^S(\d+)$"), lambda m, reg: _of_degree(m, families.symmetric, 1)),
+    (re.compile(r"^A(\d+)$"), lambda m, reg: _of_degree(m, families.alternating, 2)),
     (re.compile(r"^MC\((\d+),(\d+),(\d+),(\d+)\)$"),
      lambda m, reg: families.metacyclic(*(int(x) for x in m.groups()))),
     (re.compile(r"^P\((\d+),(\d+),(\d+)\)$"),
      lambda m, reg: families.p_group_P(*(int(x) for x in m.groups()))),
-    (re.compile(r"^Ab\(([0-9:,;]+)\)$"), lambda m, reg: _parse_abelian(m.group(1))),
+    (re.compile(r"^Ab\(([0-9:,;]+)\)$"), lambda m, reg: _parse_abelian(m.group(0), m.group(1))),
     (re.compile(rf"^@({_ID})$"), lambda m, reg: _load_registered(m.group(1), reg)),
 ]
 
 
 def _power_of_cyclic(base: int, k: int) -> Group:
     """Z_base^k as an abelian group, so its spectrum is subject to the cap."""
-    if is_prime(base):
-        return families.elementary_abelian(base, k)
     if base < 1 or k < 1:
         raise ValueError(f"need a base and a power >= 1, got Z{base}^{k}")
+    # refused before it is built: building Z2^(10^11) alone would exhaust memory
+    _require_printable(f"Z{base}^{k}", "order", int(k * math.log10(base)) + 1)
     if base == 1:
         return families.cyclic(1)
+    if is_prime(base):
+        return families.elementary_abelian(base, k)
     return AbelianGroup([(p, [a] * k) for p, a in factorize(base).items()],
                         name=f"Z{base}^{k}")
 
 
-def _parse_abelian(body: str) -> Group:
+def _of_degree(m: re.Match, build, index: int) -> Group:
+    """S<n> or A<n>, the group of order n!/index for the matched n."""
+    n = int(m.group(1))
+    log10_order = (math.lgamma(n + 1) - math.log(index)) / math.log(10)
+    _require_printable(m.group(0), "order", int(log10_order) + 1)
+    return build(n)
+
+
+def _parse_abelian(token: str, body: str) -> Group:
     ptype = []
     for chunk in body.split(";"):
         if ":" not in chunk:
             raise ExpressionError(f"bad abelian chunk {chunk!r}; want p:a1,a2,...")
         p_str, exps = chunk.split(":", 1)
         ptype.append((int(p_str), [int(a) for a in exps.split(",")]))
+    # only primes count: the constructor rejects any other p, with exit 2
+    log10_order = sum(sum(alphas) * math.log10(p) for p, alphas in ptype if is_prime(p))
+    _require_printable(token, "order", int(log10_order) + 1)
     return families.abelian(ptype)
 
 
@@ -131,7 +145,7 @@ def parse_group_expression(expr: str, registry_path: Path = None) -> Group:
             if m:
                 try:
                     factors.append(build(m, registry_path))
-                except (ValueError, KeyError) as exc:
+                except (ValueError, KeyError, OverflowError) as exc:
                     if isinstance(exc, ExpressionError):
                         raise
                     raise ExpressionError(f"cannot build {token!r}: {exc}") from exc
@@ -193,11 +207,8 @@ def _load_registered(group_id: str, registry_path: Path = None) -> Group:
     try:
         if kind == "cayley-table":
             return CayleyTableGroup(entry["table"], name=name)
-        return PermutationClosureGroup(
-            [tuple(g) for g in entry["generators"]],
-            expected_order=entry.get("order"),
-            name=name,
-        )
+        return PermutationClosureGroup(entry["generators"], expected_order=entry.get("order"),
+                                       name=name)
     except IntegrityError as exc:
         raise IntegrityError(f"registry {path}: entry {name}: {exc}") from exc
 
@@ -218,27 +229,25 @@ def import_group_file(path: Path, group_id: str, registry_path: Path) -> Group:
         data = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"cannot read {path}: {exc}") from exc
-    if isinstance(data, dict) and "table" in data:
-        table = data["table"]
-        declared = data.get("order")
-        if declared is not None and declared != len(table):
-            raise IntegrityError(
-                f"declared order {declared} but table has {len(table)} rows"
-            )
-        group = CayleyTableGroup(table, name=f"@{group_id}")
-        # the validated rows as read; group.table would copy every entry
-        entry = {"type": "cayley-table", "table": table}
-    elif isinstance(data, list):
-        group = PermutationClosureGroup([tuple(g) for g in data], name=f"@{group_id}")
-        entry = {
-            "type": "permutation-generators",
-            "generators": [list(g) for g in group.generators],
-            "order": group.order,
-        }
-    else:
-        raise IntegrityError(
-            f"{path}: expected a table object or a list of image arrays"
-        )
+    try:
+        if isinstance(data, dict) and "table" in data:
+            group = CayleyTableGroup(data["table"], name=f"@{group_id}")
+            declared = data.get("order")
+            if declared is not None and declared != group.order:
+                raise IntegrityError(f"declared order {declared} but table has {group.order} rows")
+            # the validated rows as read; group.table would copy every entry
+            entry = {"type": "cayley-table", "table": data["table"]}
+        elif isinstance(data, list):
+            group = PermutationClosureGroup(data, name=f"@{group_id}")
+            entry = {
+                "type": "permutation-generators",
+                "generators": [list(g) for g in group.generators],
+                "order": group.order,
+            }
+        else:
+            raise IntegrityError("expected a table object or a list of image arrays")
+    except IntegrityError as exc:
+        raise IntegrityError(f"{path}: {exc}") from exc
     registry = _read_registry(registry_path)
     registry[group_id] = entry
     _write_registry(registry_path, registry)
@@ -274,12 +283,12 @@ def _render_rows(rows, fmt: str, out) -> None:
     out.write(f"{summary['pass']} passed, {summary['fail']} failed\n")
 
 
-def _require_printable(expr: str, quantity: str, n: int) -> None:
-    """Refuse an answer with an integer too long for Python to print."""
+def _require_printable(expr: str, quantity: str, digits: int) -> None:
+    """Refuse an answer with more decimal digits than Python prints."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit and decimal_digits(n) > limit:
+    if limit and digits > limit:
         raise ResourceLimitError(
-            f"the {quantity} of {expr} has {decimal_digits(n)} decimal digits; "
+            f"the {quantity} of {expr} has {digits} decimal digits; "
             f"at most {limit} can be printed"
         )
 
@@ -288,7 +297,7 @@ def _cmd_eval(args, out) -> int:
     group = parse_group_expression(args.expr, args.registry)
     # these print |G|, and no other number they print exceeds it
     if args.quantity in ("order", "spectrum", "report"):
-        _require_printable(args.expr, args.quantity, group.order)
+        _require_printable(args.expr, args.quantity, decimal_digits(group.order))
     if args.quantity == "order":
         result = {"order": group.order}
     elif args.quantity == "exp":
@@ -305,7 +314,7 @@ def _cmd_eval(args, out) -> int:
     else:
         result = report(group).as_dict()
     if args.quantity in ("phi", "exp"):
-        _require_printable(args.expr, args.quantity, next(iter(result.values())))
+        _require_printable(args.expr, args.quantity, decimal_digits(next(iter(result.values()))))
     if args.json:
         out.write(json.dumps(result, indent=1, sort_keys=True) + "\n")
     elif args.quantity in ("phi", "exp", "order"):

@@ -296,15 +296,6 @@ def metacyclic_order_profile(m: int, n: int, s: int, r: int) -> dict[int, int]:
     return counts
 
 
-def metacyclic_attains_exponent(m: int, n: int, s: int, r: int) -> bool:
-    """True when some normal-form element has order equal to the exponent."""
-    profile = metacyclic_order_profile(m, n, s, r)
-    exp = 1
-    for d in profile:
-        exp = math.lcm(exp, d)
-    return exp in profile
-
-
 def metacyclic_divisibility_criterion(m: int, n: int, s: int, r: int) -> bool:
     """The divisibility test n | gcd(m, s); split case reads n | m.
 

@@ -12,10 +12,10 @@ every realization numbers its elements 0..|G|-1 in ``elements()`` order and
 applies its group law to whole numpy batches of them, from which the engine
 builds the power maps x -> x^p and the order of every element.  Structural
 shortcuts exist only where the spectrum of a large group is assembled from
-exhaustively computed pieces: direct products combine factor spectra by
-lcm-convolution (abelian groups, the products of their cyclic factors of
-prime-power order, convolve those factors' order counts and are checked once),
-and symmetric/alternating groups delegate to the cycle-type engine.
+exhaustively computed pieces: direct products lcm-convolve their factors' order
+counts and check the result once (abelian groups, the products of their cyclic
+factors of prime-power order, convolve those factors' counts directly), and
+symmetric/alternating groups delegate to the cycle-type engine.
 """
 
 from __future__ import annotations
@@ -28,14 +28,13 @@ from itertools import accumulate
 from itertools import permutations as _permutations
 from itertools import product as _iproduct
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .numtheory import (
     euler_phi,
     euler_phi_from_factorization,
-    factorial_factorization,
     factorize,
     is_prime,
     metacyclic_parameters,
@@ -165,23 +164,21 @@ class OrderSpectrum:
         return self.entries.get(d, 0)
 
 
-def lcm_convolve(a: OrderSpectrum, b: OrderSpectrum) -> OrderSpectrum:
-    """Spectrum of a direct product from its factor spectra.
+def _product_spectrum(factor_counts: Iterable[Mapping[int, int]], order: int) -> OrderSpectrum:
+    """Spectrum of a direct product of the given order from its factors'
+    order counts, convolved as plain counts and checked once.
 
     N_d(G1 x G2) = sum over pairs (e, f) with lcm(e, f) = d of N_e * N_f.
     """
-    return OrderSpectrum(_lcm_convolve_counts(a.entries, b.entries),
-                         a.group_order * b.group_order)
-
-
-def _lcm_convolve_counts(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """The order counts of a direct product from its factors' order counts."""
-    out: dict[int, int] = {}
-    for d1, c1 in a.items():
-        for d2, c2 in b.items():
-            d = math.lcm(d1, d2)
-            out[d] = out.get(d, 0) + c1 * c2
-    return out
+    counts = {1: 1}
+    for factor in factor_counts:
+        out: dict[int, int] = {}
+        for d1, c1 in counts.items():
+            for d2, c2 in factor.items():
+                d = math.lcm(d1, d2)
+                out[d] = out.get(d, 0) + c1 * c2
+        counts = out
+    return OrderSpectrum(counts, order)
 
 
 @dataclass(frozen=True)
@@ -240,10 +237,6 @@ class Group:
         raise NotImplementedError
 
     def is_abelian(self) -> bool:
-        raise NotImplementedError
-
-    def key(self) -> tuple:
-        """Canonical construction key, used for deterministic ordering."""
         raise NotImplementedError
 
     def order_factorization(self) -> dict[int, int]:
@@ -482,9 +475,6 @@ class CyclicGroup(Group):
     def is_abelian(self):
         return True
 
-    def key(self):
-        return ("cyclic", self.n)
-
     def _compute_spectrum(self):
         self.require_enumerable()
         return OrderSpectrum(_cyclic_order_counts(self.n), self.n)
@@ -569,9 +559,6 @@ class MetacyclicGroup(Group):
     def is_abelian(self):
         return self.m <= 1 or self.r == 1
 
-    def key(self):
-        return ("metacyclic", self.m, self.n, self.s, self.r)
-
 
 class PGroupP(Group):
     """Nonabelian semidirect product Z_p^(n-1) : Z_q via a power automorphism.
@@ -648,9 +635,6 @@ class PGroupP(Group):
 
     def is_abelian(self):
         return False
-
-    def key(self):
-        return ("p-group-P", self.p, self.q, self.n)
 
 
 def _perm_order(images: tuple) -> int:
@@ -803,12 +787,6 @@ class SymmetricGroup(_PermutationBase):
     def is_abelian(self):
         return self.n <= 2
 
-    def key(self):
-        return ("symmetric", self.n)
-
-    def order_factorization(self):
-        return dict(factorial_factorization(self.n))
-
     def _compute_spectrum(self):
         from .closedforms import symmetric_order_spectrum
 
@@ -857,17 +835,6 @@ class AlternatingGroup(_PermutationBase):
     def is_abelian(self):
         return self.n <= 3
 
-    def key(self):
-        return ("alternating", self.n)
-
-    def order_factorization(self):
-        out = dict(factorial_factorization(self.n))
-        if out.get(2, 0) == 1:
-            del out[2]
-        elif 2 in out:
-            out[2] -= 1
-        return out
-
     def _compute_spectrum(self):
         from .closedforms import alternating_order_spectrum
 
@@ -885,24 +852,23 @@ class PermutationClosureGroup(_PermutationBase):
 
     def __init__(self, generators, expected_order: Optional[int] = None,
                  kind=None, name=None):
-        gens = [tuple(g) for g in generators]
-        if not gens:
-            raise ValueError("at least one generator required")
-        degree = len(gens[0])
-        for g in gens:
+        # generators may come from an imported file, so check their shape
+        if not (isinstance(generators, (list, tuple)) and generators and all(
+                isinstance(g, (list, tuple)) and all(isinstance(i, int) for i in g)
+                for g in generators)):
+            raise IntegrityError("generators must be a nonempty list of integer lists")
+        degree = len(generators[0])
+        for g in generators:
             if len(g) != degree or sorted(g) != list(range(degree)):
                 raise IntegrityError(f"{g!r} is not a permutation of 0..{degree - 1}")
-        self.generators = tuple(gens)
-        self._closure: Optional[list] = None
+        self.generators = tuple(map(tuple, generators))
+        self._closure = self._compute_closure(degree, enumeration_cap())
         self._rows = None  # (batch of all elements, sorted keys, argsort of keys)
-        self._expected_order = expected_order
-        if expected_order is None:
-            # closure is the only way to learn the order
-            self._closure = self._compute_closure(degree, enumeration_cap())
-            order = len(self._closure)
-        else:
-            order = expected_order
-        super().__init__(degree, order, name or f"<{len(gens)} gens on {degree} points>")
+        super().__init__(degree, len(self._closure),
+                         name or f"<{len(generators)} gens on {degree} points>")
+        if expected_order is not None and expected_order != self.order:
+            raise IntegrityError(f"closure of {self.name} has {self.order} elements, "
+                                 f"declared order is {expected_order!r}")
         if kind is not None:
             self.kind = kind
 
@@ -929,23 +895,17 @@ class PermutationClosureGroup(_PermutationBase):
         return ordered
 
     def closure(self) -> list:
-        if self._closure is None:
-            self._closure = self._compute_closure(self.degree, enumeration_cap())
-            if self._expected_order is not None and len(self._closure) != self._expected_order:
-                raise IntegrityError(
-                    f"closure of {self.name} has {len(self._closure)} elements, "
-                    f"declared order is {self._expected_order}"
-                )
+        """Every element, in breadth-first order from the identity."""
         return self._closure
 
     def elements(self):
         self.require_enumerable()
-        return iter(self.closure())
+        return iter(self._closure)
 
     def _row_index(self):
         if self._rows is None:
             dtype = np.uint8 if self.degree <= 256 else np.int32
-            rows = np.array(self.closure(), dtype=dtype).T.copy()
+            rows = np.array(self._closure, dtype=dtype).T.copy()
             keys = _row_keys(rows)
             by_key = np.argsort(keys)
             self._rows = (rows, keys[by_key], by_key)
@@ -968,9 +928,6 @@ class PermutationClosureGroup(_PermutationBase):
             for a in self.generators
             for b in self.generators
         )
-
-    def key(self):
-        return ("permutation-closure", self.generators)
 
 
 class DirectProductGroup(Group):
@@ -1034,9 +991,6 @@ class DirectProductGroup(Group):
     def is_abelian(self):
         return all(f.is_abelian() for f in self.factors)
 
-    def key(self):
-        return ("direct-product", tuple(f.key() for f in self.factors))
-
     def order_factorization(self):
         out: dict[int, int] = {}
         for f in self.factors:
@@ -1045,10 +999,7 @@ class DirectProductGroup(Group):
         return out
 
     def _compute_spectrum(self):
-        spec = self.factors[0].spectrum()
-        for f in self.factors[1:]:
-            spec = lcm_convolve(spec, f.spectrum())
-        return spec
+        return _product_spectrum((f.spectrum().entries for f in self.factors), self.order)
 
 
 class AbelianGroup(DirectProductGroup):
@@ -1079,17 +1030,11 @@ class AbelianGroup(DirectProductGroup):
         self.moduli = tuple(p**a for p, alphas in self.primary_type for a in alphas)
         super().__init__([CyclicGroup(m) for m in self.moduli], kind, name)
 
-    def key(self):
-        return ("abelian", self.primary_type)
-
     def _compute_spectrum(self):
-        # the factors' order counts, each evaluated on every residue, are
-        # convolved as plain counts, so the spectrum is checked once
+        # the cyclic factors' order counts, each evaluated on every residue,
+        # without a checked spectrum per factor
         self.require_enumerable()
-        counts = {1: 1}
-        for m in self.moduli:
-            counts = _lcm_convolve_counts(counts, _cyclic_order_counts(m))
-        return OrderSpectrum(counts, self.order)
+        return _product_spectrum(map(_cyclic_order_counts, self.moduli), self.order)
 
 
 def _table_array(table, n: int) -> np.ndarray:
@@ -1103,7 +1048,8 @@ def _table_array(table, n: int) -> np.ndarray:
         return arr.astype(np.intp, copy=False)  # gathers index with intp natively
     # name the first bad row or entry, scanning in row order
     for i, row in enumerate(table):
-        row = list(row)
+        if not isinstance(row, (list, tuple, np.ndarray)):
+            raise IntegrityError(f"row {i} is {row!r}, not a list")
         if len(row) != n:
             raise IntegrityError(f"row {i} has length {len(row)}, expected {n}")
         for j, v in enumerate(row):
@@ -1162,6 +1108,9 @@ class CayleyTableGroup(Group):
     kind = "cayley-table"
 
     def __init__(self, table: Sequence[Sequence[int]], name: str = "table-group"):
+        # the table may come from an imported file, so check its shape
+        if not isinstance(table, (list, tuple, np.ndarray)):
+            raise IntegrityError(f"the table is {table!r}, not a list of rows")
         n = len(table)
         if n < 1:
             raise IntegrityError("empty table")
@@ -1228,9 +1177,6 @@ class CayleyTableGroup(Group):
 
     def is_abelian(self):
         return bool(np.array_equal(self._array, self._array.T))
-
-    def key(self):
-        return ("cayley-table", tuple(tuple(r) for r in self.table))
 
 
 # ---------------------------------------------------------------------------

@@ -115,14 +115,12 @@ def alternating(n: int) -> AlternatingGroup:
 @lru_cache(maxsize=1)
 def mathieu11() -> PermutationClosureGroup:
     """The Mathieu group on 11 points, order 7920, from two generators."""
-    group = PermutationClosureGroup(
+    return PermutationClosureGroup(
         [_M11_GEN_A, _M11_GEN_B],
         expected_order=MATHIEU11_ORDER,
         kind="mathieu11",
         name="M11",
     )
-    group.closure()  # force the order-7920 integrity check now
-    return group
 
 
 def direct_product(factors: Sequence[Group]) -> DirectProductGroup:

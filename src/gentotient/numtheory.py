@@ -6,9 +6,6 @@ Everything here returns plain Python ints, so counts stay exact at any size.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from types import MappingProxyType
-from typing import Mapping
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -74,21 +71,6 @@ def is_prime(n: int) -> bool:
     return n > 1
 
 
-@lru_cache(maxsize=256)
-def factorial_factorization(n: int) -> Mapping[int, int]:
-    """Factorization of n! via Legendre's prime-power counting (read-only)."""
-    out: dict[int, int] = {}
-    for p in range(2, n + 1):
-        if not is_prime(p):
-            continue
-        a, q = 0, p
-        while q <= n:
-            a += n // q
-            q *= p
-        out[p] = a
-    return MappingProxyType(out)
-
-
 def metacyclic_parameters(m: int, n: int, s: int, r: int) -> tuple[int, int, int, int]:
     """(m, n, s mod m, r mod m) for <a, b | a^m = 1, b^n = a^s, b^-1 a b = a^r>.
 
@@ -111,15 +93,3 @@ def metacyclic_parameters(m: int, n: int, s: int, r: int) -> tuple[int, int, int
         )
     return m, n, s, r
 
-
-def multiplicative_order(a: int, m: int) -> int:
-    """Least k >= 1 with a^k = 1 mod m; requires gcd(a, m) = 1."""
-    if m == 1:
-        return 1
-    if math.gcd(a, m) != 1:
-        raise ValueError(f"{a} is not a unit mod {m}")
-    t = euler_phi(m)
-    for p in factorize(t):
-        while t % p == 0 and pow(a, t // p, m) == 1:
-            t //= p
-    return t

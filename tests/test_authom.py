@@ -111,7 +111,7 @@ def test_caps_refuse_rather_than_degrade():
 def test_generator_presentation_closure():
     group = fam.dihedral(12)
     mat = authom.MaterializedGroup(group)
-    generators = [mat.elements[g] for g in authom.greedy_generators(mat)]
+    generators = group.payloads(authom.greedy_generators(mat))
     closure = {group.identity()}
     frontier = [group.identity()]
     while frontier:

@@ -50,7 +50,8 @@ def test_catalog_generates_only_the_presentations_it_keeps():
                      for p in _metacyclic_presentations_of(m, bound // m)]
         assert generated == kept(bound), bound
     for bound in (40, 60):
-        scanned = [g.key()[1:] for g in classc.scan_families(bound) if g.kind == "metacyclic"]
+        scanned = [(g.m, g.n, g.s, g.r) for g in classc.scan_families(bound)
+                   if g.kind == "metacyclic"]
         assert scanned == kept(bound)
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from gentotient import cli
 from gentotient import families as fam
-from gentotient.core import IntegrityError
+from gentotient.core import IntegrityError, ResourceLimitError
 
 
 def run_cli(capsys, *argv):
@@ -30,12 +30,15 @@ def run_cli(capsys, *argv):
 def test_parse_simple_families():
     assert cli.parse_group_expression("Z6").order == 6
     assert cli.parse_group_expression("Z2^3").order == 8
-    assert cli.parse_group_expression("D8").key() == fam.dihedral(8).key()
-    assert cli.parse_group_expression("Q16").key() == fam.generalized_quaternion(16).key()
-    assert cli.parse_group_expression("SD16").key() == fam.quasidihedral(16).key()
+    for expr, preset in (("D8", fam.dihedral(8)), ("Q16", fam.generalized_quaternion(16)),
+                         ("SD16", fam.quasidihedral(16))):
+        g = cli.parse_group_expression(expr)
+        assert (g.kind, g.name, g.m, g.n, g.s, g.r) == \
+            (preset.kind, preset.name, preset.m, preset.n, preset.s, preset.r)
     assert cli.parse_group_expression("S5").order == 120
     assert cli.parse_group_expression("A6").order == 360
-    assert cli.parse_group_expression("MC(4,2,2,3)").key() == ("metacyclic", 4, 2, 2, 3)
+    g = cli.parse_group_expression("MC(4,2,2,3)")
+    assert (g.kind, g.m, g.n, g.s, g.r) == ("metacyclic", 4, 2, 2, 3)
     assert cli.parse_group_expression("P(3,2,2)").order == 6
     assert cli.parse_group_expression("Ab(2:1,2;3:1)").order == 24
     assert cli.parse_group_expression("M11").order == 7920
@@ -120,7 +123,10 @@ def test_eval_order_of_a_metacyclic_group_beyond_the_cap_is_immediate(capsys):
                     reason="this Python prints integers of any length")
 @pytest.mark.parametrize("fmt", [(), ("--json",)])
 @pytest.mark.parametrize("expr, digits", [("Z2^100000", 30103), ("S100000", 456574),
-                                          ("P(3,2,100000)", 47712)])
+                                          ("P(3,2,100000)", 47712),
+                                          ("Z2^99999999999", 30102999567),
+                                          ("S1000000", 5565709), ("A1000000", 5565709),
+                                          ("Ab(2:1000000000000)", 301029995664)])
 def test_eval_order_too_long_to_print_exits_3_naming_it(capsys, expr, digits, fmt):
     code, out, err = run_cli(capsys, "eval", expr, "order", *fmt)
     assert (code, out) == (cli.EXIT_RESOURCE, "")
@@ -149,14 +155,17 @@ def test_composite_power_is_an_abelian_group_under_the_cap(capsys):
     assert g.spectrum().entries == {1: 1, 2: 7, 3: 26, 6: 182}
     code, _, err = run_cli(capsys, "eval", "Z6^20000", "phi")
     assert code == cli.EXIT_RESOURCE
-    assert err.startswith("error: |Z6^20000| = a 15564-digit number exceeds the enumeration cap")
+    # refused before it is built where Python limits printed digits
+    assert err.startswith("error: the order of Z6^20000 has 15564 decimal digits"
+                          if hasattr(sys, "get_int_max_str_digits") else
+                          "error: |Z6^20000| = a 15564-digit number exceeds the enumeration cap")
     assert cli.parse_group_expression("Z1^5").order == 1
 
 
 # -- fuzzed expressions ------------------------------------------------------------
 
 PARAM = st.one_of(st.integers(0, 16), st.integers(0, 10**5))
-POWER = st.one_of(st.integers(0, 12), st.integers(0, 2 * 10**4))
+POWER = st.one_of(st.integers(0, 12), st.integers(0, 2 * 10**4), st.integers(0, 10**12))
 FACTOR = st.one_of(
     st.just("M11"),
     st.just(""),
@@ -197,7 +206,7 @@ def test_eval_fuzzed_expressions_exit_cleanly(expr, quantity, as_json):
         assert err.getvalue().count("\n") == 1
     try:
         cli.parse_group_expression(expr)
-    except cli.ExpressionError:
+    except (cli.ExpressionError, ResourceLimitError):
         return
     assert code != cli.EXIT_USAGE, err.getvalue()
 
@@ -405,13 +414,49 @@ def test_malformed_registry_exits_4_naming_the_file(tmp_path, capsys):
     ({"type": "cayley-table"}, "lacks 'table'"),
     ({"type": "lookup", "table": [[0]]}, "unknown type 'lookup'"),
     ({"type": "cayley-table", "table": [[0, 1], [1, 1]]}, "not a permutation"),
+    ({"type": "cayley-table", "table": 5}, "the table is 5, not a list of rows"),
+    ({"type": "cayley-table", "table": [[0, 1], 5]}, "row 1 is 5, not a list"),
+    ({"type": "permutation-generators", "generators": [[1, "a"]]}, "integer lists"),
+    ({"type": "permutation-generators", "generators": [5]}, "integer lists"),
+    ({"type": "permutation-generators", "generators": 5}, "integer lists"),
+    ({"type": "permutation-generators", "generators": []}, "integer lists"),
+    # a declared order is checked against the closure, for every quantity
+    ({"type": "permutation-generators", "generators": [[1, 2, 0]], "order": 7},
+     "closure of @q has 3 elements, declared order is 7"),
+    ({"type": "permutation-generators", "generators": [[1, 2, 0]], "order": "abc"},
+     "declared order is 'abc'"),
+    ({"type": "permutation-generators", "generators": [[1, 2, 0]], "order": 3.5},
+     "declared order is 3.5"),
+    ({"type": "permutation-generators", "generators": [[1, 2, 0]], "order": [1]},
+     "declared order is [1]"),
 ])
 def test_broken_registry_entry_exits_4_naming_the_file(tmp_path, capsys, entry, problem):
     registry = tmp_path / "registry.json"
     registry.write_text(json.dumps({"q": entry}))
-    code, _, err = run_cli(capsys, "--registry", str(registry), "eval", "@q", "phi")
-    assert code == cli.EXIT_INTEGRITY
-    assert str(registry) in err and "@q" in err and problem in err
+    for quantity in cli.QUANTITIES:
+        code, out, err = run_cli(capsys, "--registry", str(registry), "eval", "@q", quantity)
+        assert (code, out) == (cli.EXIT_INTEGRITY, "")
+        assert str(registry) in err and "@q" in err and problem in err
+
+
+@pytest.mark.parametrize("data, problem", [
+    ([[1, "a"]], "generators must be a nonempty list of integer lists"),
+    ([5], "generators must be a nonempty list of integer lists"),
+    ([], "generators must be a nonempty list of integer lists"),
+    ([[1, 2, 0], [1, 0]], "[1, 0] is not a permutation of 0..2"),
+    ({"table": 5}, "the table is 5, not a list of rows"),
+    ({"table": [5]}, "row 0 is 5, not a list"),
+    ({"order": 2, "table": [[0]]}, "declared order 2 but table has 1 rows"),
+    ({"tables": [[0]]}, "expected a table object or a list of image arrays"),
+])
+def test_import_of_a_malformed_file_exits_4_naming_it(tmp_path, capsys, data, problem):
+    group_file = tmp_path / "bad.json"
+    group_file.write_text(json.dumps(data))
+    registry = tmp_path / "registry.json"
+    code, out, err = run_cli(capsys, "--registry", str(registry), "import", str(group_file))
+    assert (code, out) == (cli.EXIT_INTEGRITY, "")
+    assert err == f"error: {group_file}: {problem}\n"
+    assert not registry.exists()
 
 
 def test_registry_write_is_compact_and_atomic(tmp_path, capsys, monkeypatch):

@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gentotient as gt
+from gentotient import classc
 from gentotient import closedforms as cf
 from gentotient import families as fam
 from gentotient import verification
 from gentotient.core import PARTITION_ENGINE_LIMIT, ResourceLimitError, spectrum_by_enumeration
-from gentotient.numtheory import decimal_digits, euler_phi, multiplicative_order
+from gentotient.numtheory import decimal_digits, euler_phi
 
 
 # -- classical totient --------------------------------------------------------
@@ -264,18 +265,21 @@ def test_metacyclic_exponent_and_profile_sweep():
 def test_metacyclic_divisibility_is_sufficient_not_necessary():
     # b has order 16 = exp here although 4 does not divide gcd(8, 2)
     assert not cf.metacyclic_divisibility_criterion(8, 4, 2, 5)
-    assert cf.metacyclic_attains_exponent(8, 4, 2, 5)
+    assert classc.metacyclic_in_c(8, 4, 2, 5)
     assert fam.metacyclic(8, 4, 2, 5).element_order((1, 0)) == 16
     # a cyclic group wearing a degenerate presentation
     assert not cf.metacyclic_divisibility_criterion(2, 3, 0, 1)
-    assert cf.metacyclic_attains_exponent(2, 3, 0, 1)
+    assert classc.metacyclic_in_c(2, 3, 0, 1)
 
 
 def test_divisibility_matches_attainment_for_faithful_actions():
+    def multiplicative_order(r, m):
+        return next(k for k in range(1, m + 1) if pow(r, k, m) == 1)
+
     for m, n, s, r in cf.valid_metacyclic_presentations(14, 6):
         if m > 1 and multiplicative_order(r, m) == n:
             assert cf.metacyclic_divisibility_criterion(m, n, s, r) == \
-                cf.metacyclic_attains_exponent(m, n, s, r)
+                classc.metacyclic_in_c(m, n, s, r)
 
 
 def test_valid_presentation_generator():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gentotient as gt
+from gentotient import closedforms as cf
 from gentotient import families as fam
 from gentotient.core import (
     CayleyTableGroup,
@@ -14,11 +15,10 @@ from gentotient.core import (
     OrderSpectrum,
     RealizationError,
     ResourceLimitError,
-    lcm_convolve,
     spectrum_by_enumeration,
 )
 from gentotient.closedforms import valid_metacyclic_presentations
-from gentotient.numtheory import euler_phi, factorial_factorization, factorize
+from gentotient.numtheory import euler_phi, factorize
 
 
 def small_catalog():
@@ -264,16 +264,21 @@ def test_cached_spectrum_entries_are_read_only():
     assert gt.phi(g) == 4
 
 
-def test_factorial_factorization_is_read_only():
-    with pytest.raises(TypeError):
-        factorial_factorization(6)[2] = 10
-    assert gt.report(fam.alternating(6)).phi_of_order == 96
-
-
 def test_lcm_convolve_commutes():
-    a = fam.dihedral(12).spectrum()
-    b = fam.cyclic(9).spectrum()
-    assert lcm_convolve(a, b).entries == lcm_convolve(b, a).entries
+    a, b = fam.dihedral(12), fam.cyclic(9)
+    assert fam.direct_product([a, b]).spectrum() == fam.direct_product([b, a]).spectrum()
+
+
+def test_product_spectrum_is_checked_once(monkeypatch):
+    checks = []
+    check = OrderSpectrum.check
+    monkeypatch.setattr(OrderSpectrum, "check", lambda self: (checks.append(self), check(self)))
+    z6 = fam.cyclic(6)
+    z6.spectrum()
+    checks.clear()
+    product = fam.direct_product([z6] * 1000)
+    assert product.spectrum().phi() == cf.phi_abelian([(2, [1] * 1000), (3, [1] * 1000)])
+    assert len(checks) == 1
 
 
 # -- exponent and phi ---------------------------------------------------------
@@ -357,10 +362,11 @@ def test_report_d10():
 
 
 def test_report_huge_symmetric_order_factorization():
-    # |S_30| has no small-trial-division route; the factorial shortcut must kick in
+    # trial division of |S_30| stops once the primes up to 30 are divided out
     rep = gt.report(fam.symmetric(30))
     assert rep.phi_g == 0
     assert rep.order == math.factorial(30)
+    assert gt.report(fam.alternating(6)).phi_of_order == 96
 
 
 # -- cayley tables ------------------------------------------------------------
