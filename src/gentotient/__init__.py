@@ -31,7 +31,6 @@ from .core import (
     exponent,
     multiply,
     order,
-    order_spectrum,
     phi,
     report,
     spectrum_by_enumeration,

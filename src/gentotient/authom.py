@@ -45,11 +45,10 @@ class MaterializedGroup:
     cap), and the element orders are the group's cached order array.
     """
 
-    def __init__(self, group: Group, cap: int = AUT_ORDER_CAP):
-        if group.order > cap:
-            raise ResourceLimitError(
-                f"|{group.name}| = {size_text(group.order)} exceeds the search cap of {cap}"
-            )
+    def __init__(self, group: Group):
+        if group.order > AUT_ORDER_CAP:
+            raise ResourceLimitError(f"|{group.name}| = {size_text(group.order)} exceeds "
+                                     f"the search cap of {AUT_ORDER_CAP}")
         n = group.order
         self.group = group
         self.orders = group.element_orders().tolist()

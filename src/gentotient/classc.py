@@ -126,18 +126,12 @@ def scan_families(order_bound: int) -> tuple:
         groups.append(g)
         if two_n >= 6:
             nonabelian.append(g)
-    size = 8
-    while size <= order_bound:
-        g = families.generalized_quaternion(size)
-        groups.append(g)
-        nonabelian.append(g)
-        size *= 2
-    size = 16
-    while size <= order_bound:
-        g = families.quasidihedral(size)
-        groups.append(g)
-        nonabelian.append(g)
-        size *= 2
+    for build, size in ((families.generalized_quaternion, 8), (families.quasidihedral, 16)):
+        while size <= order_bound:
+            g = build(size)
+            groups.append(g)
+            nonabelian.append(g)
+            size *= 2
     for m in range(1, order_bound + 1):
         for params in _metacyclic_presentations_of(m, order_bound // m):
             groups.append(families.metacyclic(*params))

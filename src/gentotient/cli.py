@@ -68,8 +68,7 @@ _FACTOR_PATTERNS = [
     (re.compile(r"^A(\d+)$"), lambda m, reg: _of_degree(m, families.alternating, 2)),
     (re.compile(r"^MC\((\d+),(\d+),(\d+),(\d+)\)$"),
      lambda m, reg: families.metacyclic(*(int(x) for x in m.groups()))),
-    (re.compile(r"^P\((\d+),(\d+),(\d+)\)$"),
-     lambda m, reg: families.p_group_P(*(int(x) for x in m.groups()))),
+    (re.compile(r"^P\((\d+),(\d+),(\d+)\)$"), lambda m, reg: _p_group(m)),
     (re.compile(r"^Ab\(([0-9:,;]+)\)$"), lambda m, reg: _parse_abelian(m.group(0), m.group(1))),
     (re.compile(rf"^@({_ID})$"), lambda m, reg: _load_registered(m.group(1), reg)),
 ]
@@ -95,6 +94,14 @@ def _of_degree(m: re.Match, build, index: int) -> Group:
     log10_order = (math.lgamma(n + 1) - math.log(index)) / math.log(10)
     _require_printable(m.group(0), "order", int(log10_order) + 1)
     return build(n)
+
+
+def _p_group(m: re.Match) -> Group:
+    """P(p,q,n); parameters below 2 pass the guard, and the constructor rejects them."""
+    p, q, n = (int(x) for x in m.groups())
+    log10_order = (n - 1) * math.log10(max(p, 1)) + math.log10(max(q, 1))
+    _require_printable(m.group(0), "order", int(log10_order) + 1)
+    return families.p_group_P(p, q, n)
 
 
 def _parse_abelian(token: str, body: str) -> Group:
@@ -191,6 +198,18 @@ def _write_registry(path: Path, registry: dict) -> None:
 _ENTRY_FIELD = {"cayley-table": "table", "permutation-generators": "generators"}
 
 
+def _group_from_entry(entry: dict, name: str) -> Group:
+    """The group a registry entry describes, checked against its declared order."""
+    if entry["type"] == "cayley-table":
+        group = CayleyTableGroup(entry["table"], name=name)
+    else:
+        group = PermutationClosureGroup(entry["generators"], name=name)
+    declared = entry.get("order")
+    if declared is not None and declared != group.order:
+        raise IntegrityError(f"{name} has {group.order} elements, declared order is {declared!r}")
+    return group
+
+
 def _load_registered(group_id: str, registry_path: Path = None) -> Group:
     path = registry_path or Path(DEFAULT_REGISTRY)
     registry = _read_registry(path)
@@ -205,10 +224,7 @@ def _load_registered(group_id: str, registry_path: Path = None) -> Group:
     if _ENTRY_FIELD[kind] not in entry:
         raise IntegrityError(f"registry {path}: entry {name} lacks {_ENTRY_FIELD[kind]!r}")
     try:
-        if kind == "cayley-table":
-            return CayleyTableGroup(entry["table"], name=name)
-        return PermutationClosureGroup(entry["generators"], expected_order=entry.get("order"),
-                                       name=name)
+        return _group_from_entry(entry, name)
     except IntegrityError as exc:
         raise IntegrityError(f"registry {path}: entry {name}: {exc}") from exc
 
@@ -229,25 +245,18 @@ def import_group_file(path: Path, group_id: str, registry_path: Path) -> Group:
         data = json.loads(Path(path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IntegrityError(f"cannot read {path}: {exc}") from exc
+    # the validated rows and generators are stored as read
+    if isinstance(data, dict) and "table" in data:
+        entry = {"type": "cayley-table", "table": data["table"], "order": data.get("order")}
+    elif isinstance(data, list):
+        entry = {"type": "permutation-generators", "generators": data}
+    else:
+        raise IntegrityError(f"{path}: expected a table object or a list of image arrays")
     try:
-        if isinstance(data, dict) and "table" in data:
-            group = CayleyTableGroup(data["table"], name=f"@{group_id}")
-            declared = data.get("order")
-            if declared is not None and declared != group.order:
-                raise IntegrityError(f"declared order {declared} but table has {group.order} rows")
-            # the validated rows as read; group.table would copy every entry
-            entry = {"type": "cayley-table", "table": data["table"]}
-        elif isinstance(data, list):
-            group = PermutationClosureGroup(data, name=f"@{group_id}")
-            entry = {
-                "type": "permutation-generators",
-                "generators": [list(g) for g in group.generators],
-                "order": group.order,
-            }
-        else:
-            raise IntegrityError("expected a table object or a list of image arrays")
+        group = _group_from_entry(entry, f"@{group_id}")
     except IntegrityError as exc:
         raise IntegrityError(f"{path}: {exc}") from exc
+    entry["order"] = group.order
     registry = _read_registry(registry_path)
     registry[group_id] = entry
     _write_registry(registry_path, registry)
@@ -412,9 +421,6 @@ def main(argv=None) -> int:
         if args.command == "import":
             return _cmd_import(args, out)
         parser.error(f"unknown command {args.command}")
-    except ExpressionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

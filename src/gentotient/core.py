@@ -216,9 +216,11 @@ class Group:
 
     kind = "group"
 
-    def __init__(self, order: int, name: str):
+    def __init__(self, order: int, name: str, kind: Optional[str] = None):
         self.order = order
         self.name = name
+        if kind is not None:
+            self.kind = kind
         self._spectrum: Optional[OrderSpectrum] = None
         self._orders: Optional[np.ndarray] = None
 
@@ -493,9 +495,7 @@ class MetacyclicGroup(Group):
 
     def __init__(self, m: int, n: int, s: int, r: int, kind=None, name=None):
         m, n, s, r = metacyclic_parameters(m, n, s, r)
-        super().__init__(m * n, name or f"MC({m},{n},{s},{r})")
-        if kind is not None:
-            self.kind = kind
+        super().__init__(m * n, name or f"MC({m},{n},{s},{r})", kind)
         self.m, self.n, self.s, self.r = m, n, s, r
         # set here, not by cached_property, so instances keep a compact __dict__
         self._rpow = self._rpow_array = None
@@ -564,7 +564,8 @@ class PGroupP(Group):
     """Nonabelian semidirect product Z_p^(n-1) : Z_q via a power automorphism.
 
     The Z_q generator scales each vector coordinate by t, the least integer
-    above 1 of multiplicative order q mod p.  Elements are (vector, c).
+    above 1 of multiplicative order q mod p.  Elements are (vector, c).  The
+    action and the index shape are built on first use: p, q, n can be huge.
     """
 
     kind = "p-group-P"
@@ -578,13 +579,23 @@ class PGroupP(Group):
             raise ValueError(f"q must divide p - 1: {q} does not divide {p - 1}")
         if n < 2:
             raise ValueError(f"n must be >= 2, got {n}")
-        t = next(t for t in range(2, p) if pow(t, q, p) == 1 and t % p != 1)
         super().__init__(p ** (n - 1) * q, f"P({p},{q},{n})")
-        self.p, self.q, self.n, self.t = p, q, n, t
+        self.p, self.q, self.n = p, q, n
         self.dim = n - 1
-        self._tpow = tuple(pow(t, c, p) for c in range(q))
-        self._tpow_array = np.array(self._tpow, dtype=np.int64)
-        self._shape = (q,) + (p,) * self.dim
+
+    @cached_property
+    def t(self) -> int:
+        return next(t for t in range(2, self.p) if pow(t, self.q, self.p) == 1)
+
+    @cached_property
+    def _tpow(self) -> tuple:
+        """t^c mod p for c < q, as a tuple and as an array."""
+        powers = tuple(pow(self.t, c, self.p) for c in range(self.q))
+        return powers, np.array(powers, dtype=np.int64)
+
+    @cached_property
+    def _shape(self) -> tuple:
+        return (self.q,) + (self.p,) * self.dim
 
     def identity(self):
         return ((0,) * self.dim, 0)
@@ -592,7 +603,7 @@ class PGroupP(Group):
     def multiply(self, x, y):
         v, c = x
         w, d = y
-        tc = self._tpow[c]
+        tc = self._tpow[0][c]
         return (tuple((a + tc * b) % self.p for a, b in zip(v, w)), (c + d) % self.q)
 
     def validate_element(self, x):
@@ -625,7 +636,7 @@ class PGroupP(Group):
         return np.ravel_multi_index(batch, self._shape)
 
     def _batch_multiply(self, x, y):
-        tc = self._tpow_array[x[0]]
+        tc = self._tpow[1][x[0]]
         return ((x[0] + y[0]) % self.q,
                 *((a + tc * b) % self.p for a, b in zip(x[1:], y[1:])))
 
@@ -637,36 +648,24 @@ class PGroupP(Group):
         return False
 
 
-def _perm_order(images: tuple) -> int:
-    n = len(images)
-    seen = [False] * n
-    out = 1
-    for start in range(n):
-        if seen[start]:
-            continue
+def _cycle_lengths(images: tuple) -> list[int]:
+    """Lengths of the cycles of a permutation, fixed points included."""
+    seen = [False] * len(images)
+    lengths = []
+    for start in range(len(images)):
         length = 0
         i = start
         while not seen[i]:
             seen[i] = True
             i = images[i]
             length += 1
-        out = math.lcm(out, length)
-    return out
+        if length:
+            lengths.append(length)
+    return lengths
 
 
 def _perm_is_even(images: tuple) -> bool:
-    n = len(images)
-    seen = [False] * n
-    cycles = 0
-    for start in range(n):
-        if seen[start]:
-            continue
-        cycles += 1
-        i = start
-        while not seen[i]:
-            seen[i] = True
-            i = images[i]
-    return (n - cycles) % 2 == 0
+    return (len(images) - len(_cycle_lengths(images))) % 2 == 0
 
 
 def _lehmer_digits(ranks: np.ndarray, degree: int) -> np.ndarray:
@@ -717,8 +716,8 @@ class _PermutationBase(Group):
     points under the r-th permutation.
     """
 
-    def __init__(self, degree: int, order: int, name: str):
-        super().__init__(order, name)
+    def __init__(self, degree: int, order: int, name: str, kind: Optional[str] = None):
+        super().__init__(order, name, kind)
         self.degree = degree
 
     def identity(self):
@@ -737,7 +736,7 @@ class _PermutationBase(Group):
             raise RealizationError(f"{x!r} is not a permutation of {self.degree} points")
 
     def element_order(self, x):
-        return _perm_order(x)
+        return math.lcm(*_cycle_lengths(x))
 
     def _batch_multiply(self, x, y):
         # column r of the product maps i to x[y[i, r], r]
@@ -751,26 +750,43 @@ class _PermutationBase(Group):
         return list(map(tuple, batch.T.tolist()))
 
 
-def _require_degree_enumerable(group, label: str) -> None:
-    if group.n > PERMUTATION_ENUM_LIMIT:
-        raise ResourceLimitError(
-            f"element enumeration of {label} is capped at n = {PERMUTATION_ENUM_LIMIT}; "
-            f"got n = {group.n}"
-        )
+class _CycleTypeGroup(_PermutationBase):
+    """S_n or A_n: elements enumerated up to degree PERMUTATION_ENUM_LIMIT,
+    spectra counted over cycle types up to degree PARTITION_ENGINE_LIMIT."""
+
+    label: str  # how the refusals name the family, "S_n" or "A_n"
+
+    def __init__(self, n: int, order: int):
+        super().__init__(n, order, f"{self.label[0]}{n}")
+        self.n = n
+
+    def require_enumerable(self):
+        if self.n > PERMUTATION_ENUM_LIMIT:
+            raise ResourceLimitError(
+                f"element enumeration of {self.label} is capped at "
+                f"n = {PERMUTATION_ENUM_LIMIT}; got n = {self.n}"
+            )
+        super().require_enumerable()
+
+    def _compute_spectrum(self):
+        from .closedforms import alternating_order_spectrum, symmetric_order_spectrum
+
+        if self.n > PARTITION_ENGINE_LIMIT:
+            raise ResourceLimitError(
+                f"cycle-type spectra of {self.label} are capped at n = {PARTITION_ENGINE_LIMIT}"
+            )
+        engine = symmetric_order_spectrum if self.label == "S_n" else alternating_order_spectrum
+        return OrderSpectrum(engine(self.n), self.order)
 
 
-class SymmetricGroup(_PermutationBase):
+class SymmetricGroup(_CycleTypeGroup):
     kind = "symmetric"
+    label = "S_n"
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError(f"symmetric group needs n >= 1, got {n}")
-        super().__init__(n, math.factorial(n), f"S{n}")
-        self.n = n
-
-    def require_enumerable(self):
-        _require_degree_enumerable(self, "S_n")
-        super().require_enumerable()
+        super().__init__(n, math.factorial(n))
 
     def elements(self):
         self.require_enumerable()
@@ -787,28 +803,15 @@ class SymmetricGroup(_PermutationBase):
     def is_abelian(self):
         return self.n <= 2
 
-    def _compute_spectrum(self):
-        from .closedforms import symmetric_order_spectrum
 
-        if self.n > PARTITION_ENGINE_LIMIT:
-            raise ResourceLimitError(
-                f"cycle-type spectra of S_n are capped at n = {PARTITION_ENGINE_LIMIT}"
-            )
-        return OrderSpectrum(symmetric_order_spectrum(self.n), self.order)
-
-
-class AlternatingGroup(_PermutationBase):
+class AlternatingGroup(_CycleTypeGroup):
     kind = "alternating"
+    label = "A_n"
 
     def __init__(self, n: int):
         if n < 2:
             raise ValueError(f"alternating group needs n >= 2, got {n}")
-        super().__init__(n, math.factorial(n) // 2, f"A{n}")
-        self.n = n
-
-    def require_enumerable(self):
-        _require_degree_enumerable(self, "A_n")
-        super().require_enumerable()
+        super().__init__(n, math.factorial(n) // 2)
 
     def elements(self):
         self.require_enumerable()
@@ -835,23 +838,13 @@ class AlternatingGroup(_PermutationBase):
     def is_abelian(self):
         return self.n <= 3
 
-    def _compute_spectrum(self):
-        from .closedforms import alternating_order_spectrum
-
-        if self.n > PARTITION_ENGINE_LIMIT:
-            raise ResourceLimitError(
-                f"cycle-type spectra of A_n are capped at n = {PARTITION_ENGINE_LIMIT}"
-            )
-        return OrderSpectrum(alternating_order_spectrum(self.n), self.order)
-
 
 class PermutationClosureGroup(_PermutationBase):
     """Group generated by explicit permutations, enumerated by BFS closure."""
 
     kind = "permutation-closure"
 
-    def __init__(self, generators, expected_order: Optional[int] = None,
-                 kind=None, name=None):
+    def __init__(self, generators, kind=None, name=None):
         # generators may come from an imported file, so check their shape
         if not (isinstance(generators, (list, tuple)) and generators and all(
                 isinstance(g, (list, tuple)) and all(isinstance(i, int) for i in g)
@@ -865,12 +858,7 @@ class PermutationClosureGroup(_PermutationBase):
         self._closure = self._compute_closure(degree, enumeration_cap())
         self._rows = None  # (batch of all elements, sorted keys, argsort of keys)
         super().__init__(degree, len(self._closure),
-                         name or f"<{len(generators)} gens on {degree} points>")
-        if expected_order is not None and expected_order != self.order:
-            raise IntegrityError(f"closure of {self.name} has {self.order} elements, "
-                                 f"declared order is {expected_order!r}")
-        if kind is not None:
-            self.kind = kind
+                         name or f"<{len(generators)} gens on {degree} points>", kind)
 
     def _compute_closure(self, degree: int, cap: int) -> list:
         identity = tuple(range(degree))
@@ -894,11 +882,8 @@ class PermutationClosureGroup(_PermutationBase):
             frontier = nxt
         return ordered
 
-    def closure(self) -> list:
-        """Every element, in breadth-first order from the identity."""
-        return self._closure
-
     def elements(self):
+        """Every element, in breadth-first order from the identity."""
         self.require_enumerable()
         return iter(self._closure)
 
@@ -940,9 +925,7 @@ class DirectProductGroup(Group):
         if not factors:
             raise ValueError("direct product needs at least one factor")
         order = math.prod(f.order for f in factors)
-        super().__init__(order, name or "x".join(f.name for f in factors))
-        if kind is not None:
-            self.kind = kind
+        super().__init__(order, name or "x".join(f.name for f in factors), kind)
         self.factors = tuple(factors)
 
     def identity(self):
@@ -1204,11 +1187,6 @@ def spectrum_by_enumeration(group: Group) -> OrderSpectrum:
     uses the group law alone and never consults structural shortcuts.
     """
     return OrderSpectrum(_count_orders(group.element_orders()), group.order)
-
-
-def order_spectrum(group: Group) -> OrderSpectrum:
-    """Exact spectrum, via the cheapest exact route for the realization."""
-    return group.spectrum()
 
 
 def exponent(group: Group) -> int:

@@ -11,6 +11,7 @@ from .core import (
     CyclicGroup,
     DirectProductGroup,
     Group,
+    IntegrityError,
     MetacyclicGroup,
     PermutationClosureGroup,
     PGroupP,
@@ -115,12 +116,11 @@ def alternating(n: int) -> AlternatingGroup:
 @lru_cache(maxsize=1)
 def mathieu11() -> PermutationClosureGroup:
     """The Mathieu group on 11 points, order 7920, from two generators."""
-    return PermutationClosureGroup(
-        [_M11_GEN_A, _M11_GEN_B],
-        expected_order=MATHIEU11_ORDER,
-        kind="mathieu11",
-        name="M11",
-    )
+    group = PermutationClosureGroup([_M11_GEN_A, _M11_GEN_B], kind="mathieu11", name="M11")
+    if group.order != MATHIEU11_ORDER:
+        raise IntegrityError(f"closure of M11 has {group.order} elements, "
+                             f"declared order is {MATHIEU11_ORDER}")
+    return group
 
 
 def direct_product(factors: Sequence[Group]) -> DirectProductGroup:

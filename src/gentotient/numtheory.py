@@ -7,18 +7,29 @@ from __future__ import annotations
 
 import math
 
+TRIAL_DIVISION_LIMIT = 10**6
+# psi_13, the least odd composite that passes the Miller-Rabin test for each
+# of the 13 primes up to 41 (Sorenson & Webster, Math. Comp. 86, 2017)
+MILLER_RABIN_BOUND = 3_317_044_064_679_887_385_961_981
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: multiplicity} by trial division."""
+    """Prime factorization {p: multiplicity} by trial division up to 10^6; a
+    cofactor left above 10^12 must be prime, or ResourceLimitError is raised."""
     if n < 1:
         raise ValueError(f"factorize() needs a positive integer, got {n}")
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d <= TRIAL_DIVISION_LIMIT:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
+    if n > TRIAL_DIVISION_LIMIT**2 and not is_prime(n):
+        from .core import ResourceLimitError  # core imports this module
+        raise ResourceLimitError(f"cannot factorize {n}: it is composite, with no prime "
+                                 f"factor up to {TRIAL_DIVISION_LIMIT}")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
@@ -57,18 +68,30 @@ def divisors(n: int) -> list[int]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin test over the primes up to 41, exact below
+    MILLER_RABIN_BOUND; larger n raise ResourceLimitError."""
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return n > 1
+    if n >= MILLER_RABIN_BOUND:
+        from .core import ResourceLimitError  # core imports this module
+        raise ResourceLimitError(
+            f"primality of {size_text(n)} is only decided below {MILLER_RABIN_BOUND}")
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
-    return n > 1
+    return True
 
 
 def metacyclic_parameters(m: int, n: int, s: int, r: int) -> tuple[int, int, int, int]:

@@ -103,7 +103,7 @@ def suite_paper_examples() -> list[ReportRow]:
     rows.append(ReportRow("solve phi = 7: Z2^3", ("Z2^3",),
                           tuple(g.name for g in classc.solve_phi_eq_prime(7).specs)))
     m11 = families.mathieu11()
-    rows.append(ReportRow("|M11|", 7920, len(m11.closure())))
+    rows.append(ReportRow("|M11|", 7920, len(list(m11.elements()))))
     rows.append(ReportRow("exp(M11)", 1320, m11.spectrum().exponent()))
     big = families.direct_product([families.cyclic(1320), m11])
     rows.append(ReportRow("phi(Z1320xM11) > phi(1320)*|M11|", True,

@@ -164,7 +164,11 @@ def test_composite_power_is_an_abelian_group_under_the_cap(capsys):
 
 # -- fuzzed expressions ------------------------------------------------------------
 
-PARAM = st.one_of(st.integers(0, 16), st.integers(0, 10**5))
+# sizes up to 10^30 and primes such as 10^18 + 3 once hung in trial division; the
+# last two are refused, one a product of two primes above 10^6, one psi_13
+PARAM = st.one_of(st.integers(0, 16), st.integers(0, 10**5), st.integers(0, 10**30),
+                  st.sampled_from([10**9 + 7, 10**18 + 3, 2**61 - 1,
+                                   1000000007 * 1000000009, 3317044064679887385961981]))
 POWER = st.one_of(st.integers(0, 12), st.integers(0, 2 * 10**4), st.integers(0, 10**12))
 FACTOR = st.one_of(
     st.just("M11"),
@@ -420,15 +424,19 @@ def test_malformed_registry_exits_4_naming_the_file(tmp_path, capsys):
     ({"type": "permutation-generators", "generators": [5]}, "integer lists"),
     ({"type": "permutation-generators", "generators": 5}, "integer lists"),
     ({"type": "permutation-generators", "generators": []}, "integer lists"),
-    # a declared order is checked against the closure, for every quantity
+    # a declared order is checked against the group, for every quantity
     ({"type": "permutation-generators", "generators": [[1, 2, 0]], "order": 7},
-     "closure of @q has 3 elements, declared order is 7"),
+     "@q has 3 elements, declared order is 7"),
     ({"type": "permutation-generators", "generators": [[1, 2, 0]], "order": "abc"},
      "declared order is 'abc'"),
     ({"type": "permutation-generators", "generators": [[1, 2, 0]], "order": 3.5},
      "declared order is 3.5"),
     ({"type": "permutation-generators", "generators": [[1, 2, 0]], "order": [1]},
      "declared order is [1]"),
+    ({"type": "cayley-table", "table": [[0, 1], [1, 0]], "order": 5},
+     "@q has 2 elements, declared order is 5"),
+    ({"type": "cayley-table", "table": [[0, 1], [1, 0]], "order": "abc"},
+     "declared order is 'abc'"),
 ])
 def test_broken_registry_entry_exits_4_naming_the_file(tmp_path, capsys, entry, problem):
     registry = tmp_path / "registry.json"
@@ -446,7 +454,7 @@ def test_broken_registry_entry_exits_4_naming_the_file(tmp_path, capsys, entry, 
     ([[1, 2, 0], [1, 0]], "[1, 0] is not a permutation of 0..2"),
     ({"table": 5}, "the table is 5, not a list of rows"),
     ({"table": [5]}, "row 0 is 5, not a list"),
-    ({"order": 2, "table": [[0]]}, "declared order 2 but table has 1 rows"),
+    ({"order": 2, "table": [[0]]}, "@bad has 1 elements, declared order is 2"),
     ({"tables": [[0]]}, "expected a table object or a list of image arrays"),
 ])
 def test_import_of_a_malformed_file_exits_4_naming_it(tmp_path, capsys, data, problem):
@@ -508,6 +516,23 @@ def test_import_refuses_an_id_that_at_id_cannot_name(tmp_path, capsys, group_id)
 
 
 # -- module entry point -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv, code, output", [
+    (["eval", "P(3,2,100000000)", "order"], 3,
+     "error: the order of P(3,2,100000000) has 47712126 decimal digits"),
+    (["eval", "P(1000000007,2,2)", "order"], 0, "2000000014\n"),
+    (["eval", "Z1000000000000000003^2", "order"], 0, f"{(10**18 + 3)**2}\n"),
+    (["eval", "Ab(1000000000000000003:1)", "order"], 0, "1000000000000000003\n"),
+    (["eval", "Z1000000016000000063^2", "order"], 3,
+     "error: cannot factorize 1000000016000000063: it is composite"),
+    (["solve", "1000000000000000003"], 0, "phi(G) = 1000000000000000003 has no solutions\n"),
+])
+def test_huge_parameters_answer_or_exit_3_at_once(argv, code, output):
+    proc = subprocess.run([sys.executable, "-m", "gentotient", *argv],
+                          capture_output=True, text=True, timeout=10)
+    assert proc.returncode == code
+    assert (proc.stderr if code else proc.stdout).startswith(output)
 
 
 def test_module_invocation_roundtrip():

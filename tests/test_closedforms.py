@@ -199,7 +199,7 @@ def test_cycle_type_spectra_are_read_only_and_bounded():
         assert maxsize is not None and maxsize >= PARTITION_ENGINE_LIMIT + 1
     # the cached spectrum is untouched, so S5 still checks out
     assert gt.phi(gt.symmetric(5)) == 0
-    assert gt.order_spectrum(gt.symmetric(5)).entries == {1: 1, 2: 25, 3: 20, 4: 30, 5: 24, 6: 20}
+    assert gt.symmetric(5).spectrum().entries == {1: 1, 2: 25, 3: 20, 4: 30, 5: 24, 6: 20}
     # every degree up to the cap fits in the cache at once
     cf.symmetric_order_spectrum.cache_clear()
     for _ in range(2):

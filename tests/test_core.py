@@ -18,7 +18,7 @@ from gentotient.core import (
     spectrum_by_enumeration,
 )
 from gentotient.closedforms import valid_metacyclic_presentations
-from gentotient.numtheory import euler_phi, factorize
+from gentotient.numtheory import MILLER_RABIN_BOUND, euler_phi, factorize, is_prime
 
 
 def small_catalog():
@@ -135,7 +135,7 @@ def test_enumerate_q8_grid():
 
 def test_enumerate_m11():
     m11 = fam.mathieu11()
-    assert len(m11.closure()) == 7920
+    assert len(list(m11.elements())) == 7920
 
 
 @pytest.mark.parametrize("group", small_catalog(), ids=lambda g: g.name)
@@ -367,6 +367,31 @@ def test_report_huge_symmetric_order_factorization():
     assert rep.phi_g == 0
     assert rep.order == math.factorial(30)
     assert gt.report(fam.alternating(6)).phi_of_order == 96
+
+
+# -- primality and factorization ------------------------------------------------
+
+
+def test_is_prime_matches_trial_division():
+    sieve = [False, False] + [True] * (2 * 10**5 - 2)
+    for p in range(2, 448):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(sieve[p * p::p])
+    assert [is_prime(n) for n in range(-3, 2 * 10**5)] == [False] * 3 + sieve
+    # strong pseudoprimes to the first 4 and the first 12 prime bases
+    assert not is_prime(3215031751)
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(10**18 + 3)
+    assert MILLER_RABIN_BOUND == 3317044064679887385961981
+    with pytest.raises(ResourceLimitError, match="primality of 3317044064679887385961981"):
+        is_prime(MILLER_RABIN_BOUND)
+
+
+def test_factorize_refuses_a_composite_cofactor_beyond_trial_division():
+    assert factorize(999983 * 999979) == {999979: 1, 999983: 1}
+    assert factorize(12 * (10**18 + 3)) == {2: 2, 3: 1, 10**18 + 3: 1}
+    with pytest.raises(ResourceLimitError, match="cannot factorize 1000000016000000063"):
+        factorize(6 * 1000000007 * 1000000009)
 
 
 # -- cayley tables ------------------------------------------------------------

@@ -216,10 +216,15 @@ def test_mathieu11():
     assert spec.orders() == [1, 2, 3, 4, 5, 6, 8, 11]
 
 
-def test_permutation_closure_integrity_check():
-    with pytest.raises(IntegrityError, match="closure of bad-M11 has 7920 elements, "
-                                             "declared order is 7919"):
-        PermutationClosureGroup(fam.mathieu11().generators, expected_order=7919, name="bad-M11")
+def test_permutation_closure_integrity_check(monkeypatch):
+    monkeypatch.setattr(fam, "MATHIEU11_ORDER", 7919)
+    fam.mathieu11.cache_clear()
+    try:
+        with pytest.raises(IntegrityError, match="closure of M11 has 7920 elements, "
+                                                 "declared order is 7919"):
+            fam.mathieu11()
+    finally:
+        fam.mathieu11.cache_clear()
 
 
 def test_direct_product_with_trivial_factor():
