@@ -6,7 +6,11 @@ right-multiplication closure; every product x * g of a mapped element with a
 mapped generator is checked on the way, which is enough to certify the full
 homomorphism property once the closure stabilizes.
 
-``hom_count`` visits one search leaf per homomorphism.  ``aut_count`` does
+``hom_count`` from a cyclic source Z_m needs no search: a homomorphism is
+fixed by the image t of one generator, and any t with t^m = 1 is a valid
+image, so the count is #{t : o(t) divides m}, read from the target's order
+array (group-law data from the power maps, never ``closedforms``).  From any
+other source it visits one search leaf per homomorphism.  ``aut_count`` does
 not: Aut G acts regularly on the valid generator-image tuples, so |Aut G| is
 the product over the generators g_k of the orbit length of g_k under the
 pointwise stabilizer of g_1..g_(k-1).  Each orbit length counts the images
@@ -37,6 +41,13 @@ AUT_GENERATOR_CAP = 4    # refuse greedy generating sets larger than this
 AUT_SEARCH_CAP = 1_200_000  # refuse candidate-image products larger than this
 
 
+def _require_searchable(group: Group) -> None:
+    """Refuse a group above the order cap of the counters."""
+    if group.order > AUT_ORDER_CAP:
+        raise ResourceLimitError(f"|{group.name}| = {size_text(group.order)} exceeds "
+                                 f"the search cap of {AUT_ORDER_CAP}")
+
+
 class MaterializedGroup:
     """Index-based multiplication table for fast search.
 
@@ -46,9 +57,7 @@ class MaterializedGroup:
     """
 
     def __init__(self, group: Group):
-        if group.order > AUT_ORDER_CAP:
-            raise ResourceLimitError(f"|{group.name}| = {size_text(group.order)} exceeds "
-                                     f"the search cap of {AUT_ORDER_CAP}")
+        _require_searchable(group)
         n = group.order
         self.group = group
         self.orders = group.element_orders().tolist()
@@ -273,7 +282,19 @@ def aut_count(group: Group) -> int:
 
 
 def hom_count(source: Group, target: Group) -> int:
-    """Number of multiplication-preserving maps source -> target."""
+    """Number of multiplication-preserving maps source -> target.
+
+    Both groups must be within the order cap, source checked first.  A cyclic
+    source Z_m (one whose element orders reach m) is counted as the number
+    of target elements whose order divides m, with no table and no search.
+    Any other source backtracks over images of its greedy generators, one
+    search leaf per homomorphism.
+    """
+    _require_searchable(source)
+    _require_searchable(target)
+    m = source.order
+    if source.element_orders().max() == m:
+        return int(np.count_nonzero(m % target.element_orders() == 0))
     src = MaterializedGroup(source)
     dst = MaterializedGroup(target)
     gens = greedy_generators(src)

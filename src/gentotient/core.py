@@ -585,7 +585,16 @@ class PGroupP(Group):
 
     @cached_property
     def t(self) -> int:
-        return next(t for t in range(2, self.p) if pow(t, self.q, self.p) == 1)
+        # The elements of order q mod p are the powers zeta^j, 0 < j < q, of
+        # any one of them, and zeta = x^((p-1)/q) is one unless it is 1.  The
+        # O(q) walk costs no more than the q powers of t that _tpow builds.
+        p, q = self.p, self.q
+        zeta = next(z for z in (pow(x, (p - 1) // q, p) for x in range(2, p)) if z != 1)
+        least = power = zeta
+        for _ in range(q - 2):
+            power = power * zeta % p
+            least = min(least, power)
+        return least
 
     @cached_property
     def _tpow(self) -> tuple:

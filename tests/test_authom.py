@@ -1,6 +1,7 @@
 """Automorphism/homomorphism counting and the comparison predicates."""
 
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from gentotient import authom
 from gentotient import closedforms as cf
 from gentotient import families as fam
 from gentotient import verification
-from gentotient.core import AbelianGroup, ResourceLimitError
+from gentotient.core import AbelianGroup, Group, ResourceLimitError
 from gentotient.numtheory import euler_phi, is_prime
 
 
@@ -62,6 +63,76 @@ def test_hom_between_cyclic_groups_is_gcd():
     for m in range(1, 13):
         for n in range(1, 13):
             assert authom.hom_count(fam.cyclic(m), fam.cyclic(n)) == math.gcd(m, n)
+
+
+def search_hom_count(source, target):
+    """|Hom(source, target)| by backtracking, one search leaf per homomorphism."""
+    src, dst = authom.MaterializedGroup(source), authom.MaterializedGroup(target)
+    gens = authom.greedy_generators(src)
+    candidates = [[j for j in range(dst.n) if src.orders[g] % dst.orders[j] == 0]
+                  for g in gens]
+    return authom._count_morphisms(src, dst, gens, candidates, injective=False)
+
+
+HOM_TARGETS = [fam.symmetric(3), fam.symmetric(4), fam.alternating(4), fam.alternating(5),
+               fam.generalized_quaternion(16), fam.dihedral(20),
+               fam.cyclic(1), fam.cyclic(12), fam.cyclic(49), fam.cyclic(60)]
+
+
+@pytest.mark.parametrize("target", HOM_TARGETS, ids=lambda g: g.name)
+def test_hom_from_cyclic_matches_backtracking(target):
+    for m in range(1, 61):
+        source = fam.cyclic(m)
+        assert authom.hom_count(source, target) == search_hom_count(source, target), m
+
+
+@pytest.mark.parametrize("source", [
+    fam.abelian([(2, [1]), (3, [1]), (5, [1])]),
+    fam.direct_product([fam.cyclic(4), fam.cyclic(3)]),
+    fam.metacyclic(4, 2, 1, 1),  # b^2 = a, so b has order 8
+], ids=lambda g: g.name)
+def test_hom_from_other_cyclic_realizations_matches_backtracking(source):
+    assert source.element_orders().max() == source.order
+    for target in HOM_TARGETS:
+        assert authom.hom_count(source, target) == search_hom_count(source, target)
+
+
+def test_hom_from_trivial_group_is_one():
+    for target in HOM_TARGETS:
+        assert authom.hom_count(fam.cyclic(1), target) == 1
+
+
+class _Materialized(Exception):
+    pass
+
+
+def test_hom_from_cyclic_builds_no_table_and_others_search(monkeypatch):
+    def refuse(group):
+        raise _Materialized(group.name)
+
+    monkeypatch.setattr(authom, "MaterializedGroup", refuse)
+    z8 = fam.metacyclic(4, 2, 1, 1)
+    assert authom.hom_count(fam.cyclic(12), fam.alternating(5)) == 36
+    assert authom.hom_count(z8, fam.generalized_quaternion(16)) == 16
+    assert authom.hom_count(fam.abelian([(2, [1]), (3, [1])]), fam.symmetric(3)) == 6
+    for source in (fam.elementary_abelian(2, 2), fam.symmetric(3),
+                   fam.generalized_quaternion(8)):
+        with pytest.raises(_Materialized, match=re.escape(source.name)):
+            authom.hom_count(source, fam.cyclic(12))
+
+
+def test_hom_refuses_over_cap_before_any_order_array(monkeypatch):
+    def no_orders(group):
+        raise AssertionError(f"order array of {group.name} built before the cap check")
+
+    monkeypatch.setattr(Group, "element_orders", no_orders)
+    cases = [((fam.cyclic(7), fam.cyclic(500)), "|Z500| = 500 exceeds the search cap of 256"),
+             ((fam.cyclic(300), fam.symmetric(3)), "|Z300| = 300 exceeds the search cap of 256"),
+             ((fam.cyclic(300), fam.cyclic(500)), "|Z300| = 300 exceeds the search cap of 256")]
+    for (source, target), message in cases:
+        with pytest.raises(ResourceLimitError) as refused:
+            authom.hom_count(source, target)
+        assert str(refused.value) == message
 
 
 def test_aut_product_formula():

@@ -11,7 +11,7 @@ from gentotient.core import (
     PermutationClosureGroup,
     spectrum_by_enumeration,
 )
-from gentotient.numtheory import euler_phi
+from gentotient.numtheory import euler_phi, factorize, is_prime
 
 
 def test_cyclic_rejects_zero():
@@ -171,6 +171,16 @@ def test_p_group_canonical_action():
     assert fam.p_group_P(7, 3, 2).t == 2
     assert fam.p_group_P(13, 3, 2).t == 3
     assert fam.p_group_P(3, 2, 2).t == 2
+
+
+def test_p_group_action_is_the_least_element_of_order_q():
+    pairs = [(p, q) for p in range(3, 4000) if is_prime(p) for q in factorize(p - 1)]
+    assert len(pairs) == 1580
+    for p, q in pairs:
+        least = next(t for t in range(2, p) if pow(t, q, p) == 1)
+        assert fam.p_group_P(p, q, 2).t == least, (p, q)
+    # for q = 2 the least element is p - 1, which a scan up from 2 reaches last
+    assert fam.p_group_P(10000019, 2, 2).t == 10000018
 
 
 def test_p_group_rejects_bad_parameters():
