@@ -1,21 +1,27 @@
 """Exact counting of automorphisms and homomorphisms of small groups.
 
-Both counters backtrack over candidate images of a greedily chosen generating
-set.  Each partial assignment is extended to the generated subgroup by
-right-multiplication closure; every product x * g of a mapped element with a
-mapped generator is checked on the way, which is enough to certify the full
-homomorphism property once the closure stabilizes.
+When one side is cyclic, the counts are read from element orders:
+|Aut(Z_n)| = #{x : o(x) = n}.  A homomorphism from Z_m is fixed by the image t
+of one generator, and any t with t^m = 1 is a valid image, so
+|Hom(Z_m, T)| = #{t : o(t) divides m}.  Every homomorphism into an abelian
+group factors through G/G', and |Hom(A, Z_k)| = #{a in A : a^k = 1} for a
+finite abelian A, so |Hom(G, Z_k)| = #{x in G : x^k in G'} / |G'|; an
+abelian source reads it from its order array, any other source from its
+index table, its derived subgroup G' and its k-th power map (Holt, Eick &
+O'Brien, Handbook of Computational Group Theory, 2005, chs. 3-4).  The
+orders are group-law data from the power maps, never ``closedforms``.
 
-``hom_count`` from a cyclic source Z_m needs no search: a homomorphism is
-fixed by the image t of one generator, and any t with t^m = 1 is a valid
-image, so the count is #{t : o(t) divides m}, read from the target's order
-array (group-law data from the power maps, never ``closedforms``).  From any
-other source it visits one search leaf per homomorphism.  ``aut_count`` does
+Otherwise both counters backtrack over candidate images of a greedily chosen
+generating set.  Each partial assignment is extended to the generated
+subgroup by right-multiplication closure; every product x * g of a mapped
+element with a mapped generator is checked on the way, which is enough to
+certify the full homomorphism property once the closure stabilizes.
+``hom_count`` visits one search leaf per homomorphism.  ``aut_count`` does
 not: Aut G acts regularly on the valid generator-image tuples, so |Aut G| is
 the product over the generators g_k of the orbit length of g_k under the
 pointwise stabilizer of g_1..g_(k-1).  Each orbit length counts the images
-of g_k that extend to an automorphism with the earlier generators fixed,
-and an existence search, stopping at its first leaf, decides each one.
+of g_k that extend to an automorphism with the earlier generators fixed, and
+an existence search, stopping at its first leaf, decides each one.
 """
 
 from __future__ import annotations
@@ -48,6 +54,46 @@ def _require_searchable(group: Group) -> None:
                                  f"the search cap of {AUT_ORDER_CAP}")
 
 
+def _index_table(group: Group) -> np.ndarray:
+    """The n x n array of product indices, table[i, j] = index of x_i * x_j,
+    from one batch product over all n^2 index pairs."""
+    n = group.order
+    idx = np.arange(n, dtype=np.int32)
+    return group.index_product(np.repeat(idx, n), np.tile(idx, n)).reshape(n, n)
+
+
+def derived_subgroup(table: np.ndarray) -> np.ndarray:
+    """Membership mask of the derived subgroup G', from an index table.
+
+    G' is the subgroup generated by the commutators x^-1 y^-1 x y.  The
+    commutators include the identity, so squaring their set S (all products
+    of two members) only grows it, and it is a subgroup once S S = S.
+    """
+    inv = np.argmax(table == 0, axis=1)
+    products = table[table[inv[:, None], inv], table]
+    size = 0
+    while True:
+        member = np.zeros(len(table), dtype=bool)
+        member[products] = True
+        members = np.flatnonzero(member)
+        if len(members) == size:
+            return member
+        size = len(members)
+        products = table[members[:, None], members]
+
+
+def _power_map(table: np.ndarray, k: int) -> np.ndarray:
+    """Index map x -> x^k for k >= 1, by table gathers."""
+    base = np.arange(len(table))
+    acc = np.zeros_like(base)
+    while k:
+        if k & 1:
+            acc = table[acc, base]
+        base = table[base, base]
+        k >>= 1
+    return acc
+
+
 class MaterializedGroup:
     """Index-based multiplication table for fast search.
 
@@ -61,9 +107,7 @@ class MaterializedGroup:
         n = group.order
         self.group = group
         self.orders = group.element_orders().tolist()
-        idx = np.arange(n, dtype=np.int32)
-        products = group.index_product(np.repeat(idx, n), np.tile(idx, n))
-        self.table = products.reshape(n, n).tolist()
+        self.table = _index_table(group).tolist()
         self.n = n
         buckets: dict[int, list[int]] = {}
         for i, o in enumerate(self.orders):
@@ -263,13 +307,20 @@ def aut_count(group: Group) -> int:
 
     Abelian groups of multi-prime order factor as a direct product of their
     coprime primary parts, and automorphisms respect that splitting, so each
-    part is counted separately.
+    part is counted separately.  A cyclic group Z_n (one whose element
+    orders reach n) needs no table and no search: an automorphism sends a
+    generator to a generator, and any generator is a valid image, so
+    |Aut Z_n| = #{x : o(x) = n}.
     """
     if isinstance(group, AbelianGroup) and len(group.primary_type) > 1:
         out = 1
         for p, alphas in group.primary_type:
             out *= aut_count(AbelianGroup([(p, alphas)]))
         return out
+    _require_searchable(group)
+    orders = group.element_orders()
+    if orders.max() == group.order:
+        return int(np.count_nonzero(orders == group.order))
     mat = MaterializedGroup(group)
     gens = greedy_generators(mat)
     if len(gens) > AUT_GENERATOR_CAP:
@@ -284,14 +335,25 @@ def aut_count(group: Group) -> int:
 def hom_count(source: Group, target: Group) -> int:
     """Number of multiplication-preserving maps source -> target.
 
-    Both groups must be within the order cap, source checked first.  A cyclic
-    source Z_m (one whose element orders reach m) is counted as the number
-    of target elements whose order divides m, with no table and no search.
-    Any other source backtracks over images of its greedy generators, one
-    search leaf per homomorphism.
+    Both groups must be within the order cap, source checked first.  When
+    one side is cyclic there is no search.  Into a cyclic target Z_k (one
+    whose element orders reach k), an abelian source counts its elements
+    whose order divides k; any other source counts the x with x^k in its
+    derived subgroup G' and divides by |G'|, from its own index table.  A
+    cyclic source Z_m counts the target elements whose order divides m.
+    Between two noncyclic groups the count backtracks over images of the
+    source's greedy generators, one search leaf per homomorphism.
     """
     _require_searchable(source)
     _require_searchable(target)
+    k = target.order
+    if target.element_orders().max() == k:
+        if source.is_abelian():
+            return int(np.count_nonzero(k % source.element_orders() == 0))
+        table = _index_table(source)
+        in_derived = derived_subgroup(table)
+        return int(np.count_nonzero(in_derived[_power_map(table, k)])
+                   // np.count_nonzero(in_derived))
     m = source.order
     if source.element_orders().max() == m:
         return int(np.count_nonzero(m % target.element_orders() == 0))

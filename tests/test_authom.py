@@ -67,11 +67,21 @@ def test_hom_between_cyclic_groups_is_gcd():
 
 def search_hom_count(source, target):
     """|Hom(source, target)| by backtracking, one search leaf per homomorphism."""
-    src, dst = authom.MaterializedGroup(source), authom.MaterializedGroup(target)
+    return search_hom_counts(source, [target])[0]
+
+
+def search_hom_counts(source, targets):
+    """search_hom_count(source, target) for each target, materializing the
+    source once."""
+    src = authom.MaterializedGroup(source)
     gens = authom.greedy_generators(src)
-    candidates = [[j for j in range(dst.n) if src.orders[g] % dst.orders[j] == 0]
-                  for g in gens]
-    return authom._count_morphisms(src, dst, gens, candidates, injective=False)
+    counts = []
+    for target in targets:
+        dst = authom.MaterializedGroup(target)
+        candidates = [[j for j in range(dst.n) if src.orders[g] % dst.orders[j] == 0]
+                      for g in gens]
+        counts.append(authom._count_morphisms(src, dst, gens, candidates, injective=False))
+    return counts
 
 
 HOM_TARGETS = [fam.symmetric(3), fam.symmetric(4), fam.alternating(4), fam.alternating(5),
@@ -97,6 +107,55 @@ def test_hom_from_other_cyclic_realizations_matches_backtracking(source):
         assert authom.hom_count(source, target) == search_hom_count(source, target)
 
 
+NONABELIAN_SOURCES = (
+    [fam.dihedral(n) for n in range(6, 41, 2)]
+    + [fam.symmetric(3), fam.symmetric(4), fam.alternating(4), fam.alternating(5),
+       fam.generalized_quaternion(8), fam.generalized_quaternion(16), fam.quasidihedral(16),
+       fam.p_group_P(7, 3, 2), fam.direct_product([fam.cyclic(6), fam.symmetric(3)])]
+    + [fam.metacyclic(*params) for params in
+       ((7, 3, 0, 2), (5, 4, 0, 2), (9, 3, 0, 4), (8, 2, 0, 3), (8, 2, 4, 3), (12, 2, 0, 5))]
+)
+
+
+@pytest.mark.parametrize("source", NONABELIAN_SOURCES, ids=lambda g: g.name)
+def test_hom_from_nonabelian_into_cyclic_matches_backtracking(source):
+    assert not source.is_abelian()
+    targets = [fam.cyclic(k) for k in range(1, 61)]
+    assert [authom.hom_count(source, t) for t in targets] == search_hom_counts(source, targets)
+
+
+def test_hom_from_abelian_into_cyclic_matches_backtracking():
+    targets = [fam.cyclic(k) for k in range(1, 61)]
+    for _, ptype in cf.abelian_types_up_to(64):
+        source = fam.abelian(ptype)
+        assert [authom.hom_count(source, t) for t in targets] == (
+            search_hom_counts(source, targets)), source.name
+
+
+def test_derived_subgroup_orders():
+    def derived_order(group):
+        return int(authom.derived_subgroup(authom._index_table(group)).sum())
+
+    assert derived_order(fam.symmetric(4)) == 12
+    assert derived_order(fam.alternating(4)) == 4
+    assert derived_order(fam.generalized_quaternion(8)) == 2
+    assert derived_order(fam.alternating(5)) == 60
+    for n in range(2, 41):
+        assert derived_order(fam.dihedral(2 * n)) == n // math.gcd(n, 2), n
+    for group in (fam.cyclic(1), fam.cyclic(12), fam.elementary_abelian(2, 3),
+                  fam.abelian([(2, [1, 2]), (3, [1])])):
+        assert derived_order(group) == 1, group.name
+
+
+def test_aut_of_cyclic_matches_the_orbit_search():
+    groups = [fam.cyclic(n) for n in range(1, 257)]
+    groups += [fam.direct_product([fam.cyclic(4), fam.cyclic(3)]), fam.metacyclic(4, 2, 1, 1)]
+    for group in groups:
+        mat, gens, candidates = _generators_and_candidates(group)
+        assert authom.aut_count(group) == authom._count_automorphisms(
+            mat, gens, candidates), group.name
+
+
 def test_hom_from_trivial_group_is_one():
     for target in HOM_TARGETS:
         assert authom.hom_count(fam.cyclic(1), target) == 1
@@ -115,10 +174,18 @@ def test_hom_from_cyclic_builds_no_table_and_others_search(monkeypatch):
     assert authom.hom_count(fam.cyclic(12), fam.alternating(5)) == 36
     assert authom.hom_count(z8, fam.generalized_quaternion(16)) == 16
     assert authom.hom_count(fam.abelian([(2, [1]), (3, [1])]), fam.symmetric(3)) == 6
-    for source in (fam.elementary_abelian(2, 2), fam.symmetric(3),
-                   fam.generalized_quaternion(8)):
+    # into a cyclic target: abelian and nonabelian sources, cyclic or not
+    assert authom.hom_count(fam.elementary_abelian(2, 2), fam.cyclic(12)) == 4
+    assert authom.hom_count(fam.symmetric(3), fam.cyclic(12)) == 2
+    assert authom.hom_count(fam.generalized_quaternion(8), fam.cyclic(12)) == 4
+    assert authom.hom_count(fam.alternating(4), z8) == 1
+    assert authom.aut_count(fam.cyclic(12)) == 4
+    assert authom.aut_count(z8) == 4
+    assert authom.aut_count(fam.abelian([(2, [2]), (3, [1])])) == 4
+    for source, target in ((fam.symmetric(3), fam.symmetric(4)),
+                           (fam.generalized_quaternion(8), fam.dihedral(8))):
         with pytest.raises(_Materialized, match=re.escape(source.name)):
-            authom.hom_count(source, fam.cyclic(12))
+            authom.hom_count(source, target)
 
 
 def test_hom_refuses_over_cap_before_any_order_array(monkeypatch):
