@@ -62,7 +62,7 @@ def _index_table(group: Group) -> np.ndarray:
     return group.index_product(np.repeat(idx, n), np.tile(idx, n)).reshape(n, n)
 
 
-def derived_subgroup(table: np.ndarray) -> np.ndarray:
+def _derived_subgroup(table: np.ndarray) -> np.ndarray:
     """Membership mask of the derived subgroup G', from an index table.
 
     G' is the subgroup generated by the commutators x^-1 y^-1 x y.  The
@@ -351,7 +351,7 @@ def hom_count(source: Group, target: Group) -> int:
         if source.is_abelian():
             return int(np.count_nonzero(k % source.element_orders() == 0))
         table = _index_table(source)
-        in_derived = derived_subgroup(table)
+        in_derived = _derived_subgroup(table)
         return int(np.count_nonzero(in_derived[_power_map(table, k)])
                    // np.count_nonzero(in_derived))
     m = source.order

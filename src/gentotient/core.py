@@ -585,15 +585,10 @@ class PGroupP(Group):
 
     @cached_property
     def t(self) -> int:
-        # An x > 1 with x^q = 1 mod p has order q, so the first hit of a scan
-        # up from 2 is t.  The scan stops after q steps; past them, t is the
-        # least of the powers zeta^j, 0 < j < q, of any one element zeta of
-        # order q, and zeta = x^((p-1)/q) is one unless it is 1.  Both take
-        # O(q) steps, no more than the q powers of t that _tpow builds.
+        # The elements of order q mod p are the powers zeta^j, 0 < j < q, of
+        # any one of them, and zeta = x^((p-1)/q) is one unless it is 1.  The
+        # O(q) walk costs no more than the q powers of t that _tpow builds.
         p, q = self.p, self.q
-        for x in range(2, min(p - 1, q + 1) + 1):
-            if pow(x, q, p) == 1:
-                return x
         zeta = next(z for z in (pow(x, (p - 1) // q, p) for x in range(2, p)) if z != 1)
         least = power = zeta
         for _ in range(q - 2):

@@ -134,7 +134,7 @@ def test_hom_from_abelian_into_cyclic_matches_backtracking():
 
 def test_derived_subgroup_orders():
     def derived_order(group):
-        return int(authom.derived_subgroup(authom._index_table(group)).sum())
+        return int(authom._derived_subgroup(authom._index_table(group)).sum())
 
     assert derived_order(fam.symmetric(4)) == 12
     assert derived_order(fam.alternating(4)) == 4

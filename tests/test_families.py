@@ -181,7 +181,7 @@ def test_p_group_action_is_the_least_element_of_order_q():
         assert fam.p_group_P(p, q, 2).t == least, (p, q)
     # for q = 2 the least element is p - 1, which a scan up from 2 reaches last
     assert fam.p_group_P(10000019, 2, 2).t == 10000018
-    # for a large q the scan up from 2 hits t long before q powers of zeta
+    # for a large q the walk over the q - 1 powers of zeta still finds the least
     assert fam.p_group_P(1000003, 166667, 2).t == 9
 
 
