@@ -19,9 +19,13 @@ certify the full homomorphism property once the closure stabilizes.
 ``hom_count`` visits one search leaf per homomorphism.  ``aut_count`` does
 not: Aut G acts regularly on the valid generator-image tuples, so |Aut G| is
 the product over the generators g_k of the orbit length of g_k under the
-pointwise stabilizer of g_1..g_(k-1).  Each orbit length counts the images
-of g_k that extend to an automorphism with the earlier generators fixed, and
-an existence search, stopping at its first leaf, decides each one.
+pointwise stabilizer S_k of g_1..g_(k-1).  The orbits are found from the
+last generator up, so every automorphism already found lies in S_k.  The
+orbit of g_k and the set of candidates known to lie outside it are closed
+under those automorphisms, and only a candidate that neither closure reaches
+costs an existence search, stopping at its first leaf; a success adds that
+leaf's automorphism to the ones found (Seress, Permutation Group Algorithms,
+2003, ch. 4; Holt, Eick & O'Brien, 2005, ch. 4).
 """
 
 from __future__ import annotations
@@ -160,13 +164,14 @@ def _morphism_search(src: MaterializedGroup, dst: MaterializedGroup,
                      injective: bool):
     """Backtracking state for the images of ``gens`` in ``dst``.
 
-    Returns ``(fix, search)``.  ``fix(depth, h)`` assigns ``gens[depth] -> h``
-    for good and reports whether the closure checks pass.
-    ``search(depth, first, first_below)`` counts the complete assignments of
-    ``gens[depth:]`` that extend the current one, trying each candidate
-    image of ``gens[depth]`` and undoing it before the next.  With ``first``
-    it stops at the first complete assignment; with ``first_below`` every
-    deeper level does, so each image of ``gens[depth]`` counts at most once.
+    Returns ``(fix, search, leaf)``.  ``fix(depth, h)`` assigns
+    ``gens[depth] -> h`` for good and reports whether the closure checks
+    pass.  ``search(depth, first, images)`` counts the complete assignments
+    of ``gens[depth:]`` that extend the current one, trying each of
+    ``images`` (by default every candidate) for ``gens[depth]`` and undoing
+    it before the next.  With ``first`` it is an existence search: every
+    level stops at the first complete assignment, and ``leaf`` then holds
+    that assignment's image of every element of ``src``.
     """
     stable = src.table
     dtable = dst.table
@@ -176,6 +181,7 @@ def _morphism_search(src: MaterializedGroup, dst: MaterializedGroup,
     used[0] = 1
     sub = [0]
     assigned: list[int] = []
+    leaf: list[int] = []
 
     def extend(new_gen: int, new_img: int) -> bool:
         img[new_gen] = new_img
@@ -225,17 +231,21 @@ def _morphism_search(src: MaterializedGroup, dst: MaterializedGroup,
 
     last = len(gens) - 1
 
-    def search(depth: int, first: bool, first_below: bool) -> int:
+    def search(depth: int, first: bool, images: Optional[list[int]] = None) -> int:
         g = gens[depth]
         total = 0
-        for h in candidates[depth]:
+        for h in candidates[depth] if images is None else images:
             if injective and used[h]:
                 continue
             mark = len(sub)
             assigned.append(g)
             if extend(g, h):
-                total += 1 if depth == last else search(depth + 1, first_below,
-                                                        first_below)
+                if depth < last:
+                    total += search(depth + 1, first)
+                else:
+                    total += 1
+                    if first:
+                        leaf[:] = img
             for x in sub[mark:]:
                 if injective:
                     used[img[x]] = 0
@@ -246,7 +256,7 @@ def _morphism_search(src: MaterializedGroup, dst: MaterializedGroup,
                 break
         return total
 
-    return fix, search
+    return fix, search, leaf
 
 
 def _count_morphisms(src: MaterializedGroup, dst: MaterializedGroup,
@@ -256,8 +266,65 @@ def _count_morphisms(src: MaterializedGroup, dst: MaterializedGroup,
     _check_search_space(candidates)
     if not gens:
         return 1
-    _, search = _morphism_search(src, dst, gens, candidates, injective)
-    return search(0, False, False)
+    _, search, _ = _morphism_search(src, dst, gens, candidates, injective)
+    return search(0, False)
+
+
+def _close(points: set[int], maps: list[list[int]]) -> None:
+    """Grow ``points`` to its closure under the index maps ``maps``."""
+    queue = list(points)
+    while queue:
+        x = queue.pop()
+        for a in maps:
+            y = a[x]
+            if y not in points:
+                points.add(y)
+                queue.append(y)
+
+
+def _orbit_chain(mat: MaterializedGroup, gens: list[int],
+                 candidates: list[list[int]]):
+    """The orbit of each generator under the stabilizer chain of Aut G.
+
+    Returns ``(orbits, rejected, found)``: ``orbits[k]`` is the orbit of
+    ``gens[k]`` under the pointwise stabilizer S_k of ``gens[:k]``,
+    ``rejected[k]`` the rest of its candidates, and ``found`` the
+    automorphisms (image lists) whose existence searches decided them.
+
+    The generators are taken from the last one up.  Every automorphism
+    found at depth k or at a later generator fixes ``gens[:k]``, so it lies
+    in S_k, and S_k maps its orbit, and so also the orbit's complement, onto
+    itself: a candidate that one of them moves from the orbit joins the
+    orbit, and one moved from a rejected candidate is rejected, with no
+    search.  Only the candidates that neither closure reaches cost an
+    existence search for ``gens[k] -> h``; a success adds its leaf, an
+    automorphism in S_k, to ``found``.  This is orbit closure under known
+    group elements down a chain of pointwise stabilizers (Seress,
+    Permutation Group Algorithms, 2003, ch. 4; Holt, Eick & O'Brien,
+    Handbook of Computational Group Theory, 2005, ch. 4).
+    """
+    _check_search_space(candidates)
+    orbits: list[set[int]] = [set() for _ in gens]
+    rejected: list[set[int]] = [set() for _ in gens]
+    found: list[list[int]] = []
+    for depth in reversed(range(len(gens))):
+        fix, search, leaf = _morphism_search(mat, mat, gens, candidates, injective=True)
+        if not all(fix(d, gens[d]) for d in range(depth)):
+            raise IntegrityError(f"the identity map of {mat.group.name} failed "
+                                 f"the closure checks")
+        orbit, outside = orbits[depth], rejected[depth]
+        orbit.add(gens[depth])
+        _close(orbit, found)
+        for h in candidates[depth]:
+            if h in orbit or h in outside:
+                continue
+            if search(depth, True, [h]):
+                found.append(leaf[:])
+                _close(orbit, found)
+            else:
+                outside.add(h)
+            _close(outside, found)
+    return orbits, rejected, found
 
 
 def _count_automorphisms(mat: MaterializedGroup, gens: list[int],
@@ -267,43 +334,39 @@ def _count_automorphisms(mat: MaterializedGroup, gens: list[int],
     Let g1..gr be the generators.  An automorphism is fixed by its image
     tuple (h1..hr), so Aut G acts regularly on the valid tuples by
     composition.  The valid tuples that start with a valid prefix
-    (h1..h(k-1)) are the images of one coset of the pointwise stabilizer S of
-    g1..g(k-1), so their possible k-th entries form a translate of the orbit
-    of gk under S: every valid prefix has the same number of valid
+    (h1..h(k-1)) are the images of one coset of the pointwise stabilizer S_k
+    of g1..g(k-1), so their possible k-th entries form a translate of the
+    orbit of gk under S_k: every valid prefix has the same number of valid
     extensions at position k.  The identity prefix (g1..g(k-1)) is always
     valid, so counting there gives that number, and
 
-        |Aut G| = prod over k of |orbit of gk under the stabilizer of g1..g(k-1)|
+        |Aut G| = prod over k of |orbit of gk under S_k|
 
     (orbit-stabilizer down the chain of pointwise stabilizers; Holt, Eick &
     O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  An image
-    of gk has gk's order, so the orbit lies in gk's order bucket; a candidate
-    h is in it iff g1..g(k-1) -> themselves, gk -> h extends to an
-    automorphism, which an existence search over the remaining generators
-    decides, stopping at the first complete assignment.
+    of gk has gk's order, so the orbit lies in gk's order bucket.
+    ``_orbit_chain`` finds each orbit from the last generator up, closing
+    it and its complement under the automorphisms found so far, and runs an
+    existence search only for a candidate neither closure decides.
     """
-    _check_search_space(candidates)
-    fix, search = _morphism_search(mat, mat, gens, candidates, injective=True)
-    out = 1
-    for depth, g in enumerate(gens):
-        out *= search(depth, False, True)
-        if not fix(depth, g):
-            raise IntegrityError(f"the identity map of {mat.group.name} failed "
-                                 f"the closure checks")
-    return out
+    orbits, _, _ = _orbit_chain(mat, gens, candidates)
+    return math.prod(len(orbit) for orbit in orbits)
 
 
 def aut_count(group: Group) -> int:
     """Exact size of the automorphism group, as a product of orbit lengths.
 
-    The greedy generators g1..gr are fixed one at a time: the k-th factor is
-    the number of images of gk that extend, with g1..g(k-1) fixed, to an
-    automorphism.  The product is exact because automorphisms act regularly
-    on the valid generator-image tuples, so every valid prefix has as many
-    valid extensions as the identity prefix (``_count_automorphisms`` gives
-    the argument).  Each candidate image costs one existence search, which stops at
-    its first complete assignment, where a full count would visit one leaf
-    per automorphism.
+    For the greedy generators g1..gr, the k-th factor is the number of
+    images of gk that extend, with g1..g(k-1) fixed, to an automorphism: the
+    orbit of gk under the pointwise stabilizer S_k.  The product is exact
+    because automorphisms act regularly on the valid generator-image tuples,
+    so every valid prefix has as many valid extensions as the identity
+    prefix (``_count_automorphisms`` gives the argument).  The orbits are
+    found from gr up to g1, each closed, together with the candidates known
+    to lie outside it, under the automorphisms found so far, which all lie
+    in S_k; a candidate neither closure decides costs one existence search,
+    which stops at its first complete assignment and records it
+    (``_orbit_chain``).  A full count would visit one leaf per automorphism.
 
     Abelian groups of multi-prime order factor as a direct product of their
     coprime primary parts, and automorphisms respect that splitting, so each
@@ -373,21 +436,18 @@ def hom_count(source: Group, target: Group) -> int:
 
 
 def center_size(group: Group) -> int:
-    """Size of the center, by commutation against a generating set."""
-    mat = MaterializedGroup(group)
-    gens = greedy_generators(mat)
-    return sum(
-        1
-        for i in range(mat.n)
-        if all(mat.table[i][g] == mat.table[g][i] for g in gens)
-    )
+    """Size of the center: the rows of the index table that equal their
+    columns, x y = y x for every y."""
+    _require_searchable(group)
+    table = _index_table(group)
+    return int(np.count_nonzero((table == table.T).all(axis=1)))
 
 
 def aut_product_formula(g1: Group, g2: Group) -> int:
     """|Aut(G1 x G2)| = |Aut(G1)| * |Aut(G2)| * |Hom(G2, G1)|.
 
     Requires G1 cyclic and G2 with trivial center; both hypotheses are
-    checked (the center by enumeration).
+    checked (the center from the index table).
     """
     if not isinstance(g1, CyclicGroup):
         raise ValueError(f"first factor must be cyclic, got {g1.name}")

@@ -1022,6 +1022,9 @@ class AbelianGroup(DirectProductGroup):
         self.moduli = tuple(p**a for p, alphas in self.primary_type for a in alphas)
         super().__init__([CyclicGroup(m) for m in self.moduli], kind, name)
 
+    def order_factorization(self):
+        return {p: sum(alphas) for p, alphas in self.primary_type}
+
     def _compute_spectrum(self):
         # the cyclic factors' order counts, each evaluated on every residue,
         # without a checked spectrum per factor

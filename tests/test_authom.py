@@ -3,6 +3,7 @@
 import math
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -269,6 +270,10 @@ def test_center_size():
     assert authom.center_size(fam.symmetric(3)) == 1
     assert authom.center_size(fam.generalized_quaternion(8)) == 2
     assert authom.center_size(fam.cyclic(12)) == 12
+    for n in range(3, 41):
+        assert authom.center_size(fam.dihedral(2 * n)) == 2 - n % 2, n
+    with pytest.raises(ResourceLimitError, match=r"^\|Z300\| = 300 exceeds the search cap of 256$"):
+        authom.center_size(fam.cyclic(300))
 
 
 def test_phi_order_match_check():
@@ -368,6 +373,12 @@ def assert_orbit_product_matches_leaves(group):
     return True
 
 
+P_GROUPS = [fam.p_group_P(p, q, n)
+            for p in range(3, 48) for q in range(2, p)
+            if is_prime(p) and is_prime(q) and (p - 1) % q == 0
+            for n in range(2, 6) if p ** (n - 1) * q <= 48]
+
+
 def test_aut_count_matches_leaf_count_on_abelian_groups():
     counted = [
         assert_orbit_product_matches_leaves(fam.abelian(ptype))
@@ -377,18 +388,12 @@ def test_aut_count_matches_leaf_count_on_abelian_groups():
 
 
 def test_aut_count_matches_leaf_count_on_nonabelian_groups():
-    groups = [fam.dihedral(n) for n in range(4, 65, 2)]
-    groups += [fam.generalized_quaternion(n) for n in (8, 16, 32, 64)]
-    groups += [fam.quasidihedral(n) for n in (16, 32, 64)]
+    groups = [fam.dihedral(n) for n in list(range(4, 65, 2)) + [128]]
+    groups += [fam.generalized_quaternion(n) for n in (8, 16, 32, 64, 128)]
+    groups += [fam.quasidihedral(n) for n in (16, 32, 64, 128)]
     groups += [fam.symmetric(4), fam.alternating(5),
                fam.direct_product([fam.cyclic(6), fam.symmetric(3)])]
-    for p in range(3, 48):
-        for q in range(2, p):
-            if is_prime(p) and is_prime(q) and (p - 1) % q == 0:
-                n = 2
-                while p ** (n - 1) * q <= 48:
-                    groups.append(fam.p_group_P(p, q, n))
-                    n += 1
+    groups += P_GROUPS
     assert all(assert_orbit_product_matches_leaves(g) for g in groups)
     assert "P(3,2,3)" in {g.name for g in groups}
 
@@ -412,9 +417,65 @@ def test_existence_searches_leave_the_search_state_clean(group):
     ]
     for injective, cands, full in ((True, candidates, authom.aut_count(group)),
                                    (False, hom_candidates, authom.hom_count(group, group))):
-        _, search = authom._morphism_search(mat, mat, gens, cands, injective)
+        _, search, _ = authom._morphism_search(mat, mat, gens, cands, injective)
         for _ in range(3):
-            assert search(0, True, True) == 1
+            assert search(0, True) == 1
             # one existence search per candidate image of the first generator
-            assert 1 <= search(0, False, True) <= len(cands[0])
-        assert search(0, False, False) == full
+            assert 1 <= sum(search(0, True, [h]) for h in cands[0]) <= len(cands[0])
+        assert search(0, False) == full
+
+
+# -- the orbit chain against one existence search per candidate ---------------
+
+def brute_force_orbits(mat, gens, candidates):
+    """Per generator g_k, the candidates h for which g_1..g_(k-1) -> themselves,
+    g_k -> h extends to an automorphism, and the rest, each decided by its own
+    existence search, with no closure."""
+    orbits, rejected = [], []
+    for depth in range(len(gens)):
+        fix, search, _ = authom._morphism_search(mat, mat, gens, candidates, True)
+        assert all(fix(d, gens[d]) for d in range(depth))
+        orbit = {h for h in candidates[depth] if search(depth, True, [h])}
+        orbits.append(orbit)
+        rejected.append(set(candidates[depth]) - orbit)
+    return orbits, rejected
+
+
+def assert_orbit_chain_matches_brute_force(group):
+    """Compare the orbit chain with the brute-force orbits; False if the caps
+    refuse the group."""
+    try:
+        mat, gens, candidates = _generators_and_candidates(group)
+        orbits, rejected, found = authom._orbit_chain(mat, gens, candidates)
+    except ResourceLimitError:
+        return False
+    assert (orbits, rejected) == brute_force_orbits(mat, gens, candidates), group.name
+    table = np.array(mat.table)
+    for image in found:
+        a = np.array(image)
+        assert sorted(image) == list(range(mat.n)), group.name
+        assert (a[table] == table[a[:, None], a[None, :]]).all(), group.name
+    return True
+
+
+def test_orbit_chain_matches_brute_force_on_nonabelian_groups():
+    groups = [fam.dihedral(2 * n) for n in range(2, 65)]
+    groups += [fam.generalized_quaternion(2 ** k) for k in range(3, 8)]
+    groups += [fam.quasidihedral(2 ** k) for k in range(4, 8)]
+    groups += [fam.symmetric(4), fam.alternating(5),
+               fam.direct_product([fam.cyclic(6), fam.symmetric(3)])]
+    groups += P_GROUPS
+    assert all(assert_orbit_chain_matches_brute_force(g) for g in groups)
+
+
+def test_orbit_chain_matches_brute_force_on_abelian_groups():
+    counted = [assert_orbit_chain_matches_brute_force(fam.abelian(ptype))
+               for _, ptype in cf.abelian_types_up_to(64)]
+    assert counted.count(False) == 4  # Z2^5, Z2^6, Z2^4xZ4, Z2^2xZ4^2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([p for p in cf.valid_metacyclic_presentations(48, 48)
+                        if p[0] * p[1] <= 48]))
+def test_orbit_chain_matches_brute_force_on_metacyclic_groups(params):
+    assert assert_orbit_chain_matches_brute_force(fam.metacyclic(*params))

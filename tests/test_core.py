@@ -154,6 +154,13 @@ def test_abelian_spectrum_keeps_the_enumeration_cap():
     assert str(err.value).startswith("|Z2^25| = 33554432 exceeds the enumeration cap")
 
 
+def test_abelian_order_factorization_from_the_primary_type():
+    for _, ptype in cf.abelian_types_up_to(200):
+        g = fam.abelian(ptype)
+        assert g.order_factorization() == factorize(g.order), g.name
+    assert fam.elementary_abelian(2, 20000).order_factorization() == {2: 20000}
+
+
 def test_abelian_payloads_are_flat_residue_tuples():
     g = fam.abelian([(2, [1, 2])])
     assert list(g.elements())[:3] == [(0, 0), (0, 1), (0, 2)]
