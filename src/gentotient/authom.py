@@ -7,9 +7,10 @@ of one generator, and any t with t^m = 1 is a valid image, so
 group factors through G/G', and |Hom(A, Z_k)| = #{a in A : a^k = 1} for a
 finite abelian A, so |Hom(G, Z_k)| = #{x in G : x^k in G'} / |G'|; an
 abelian source reads it from its order array, any other source from its
-index table, its derived subgroup G' and its k-th power map (Holt, Eick &
-O'Brien, Handbook of Computational Group Theory, 2005, chs. 3-4).  The
-orders are group-law data from the power maps, never ``closedforms``.
+``Group.index_table()``, its derived subgroup G' and its k-th power map
+(Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005, chs.
+3-4).  The orders are group-law data from the power maps, never
+``closedforms``, and each group builds its table once and caches it.
 
 Otherwise both counters backtrack over candidate images of a greedily chosen
 generating set.  Each partial assignment is extended to the generated
@@ -17,15 +18,9 @@ subgroup by right-multiplication closure; every product x * g of a mapped
 element with a mapped generator is checked on the way, which is enough to
 certify the full homomorphism property once the closure stabilizes.
 ``hom_count`` visits one search leaf per homomorphism.  ``aut_count`` does
-not: Aut G acts regularly on the valid generator-image tuples, so |Aut G| is
-the product over the generators g_k of the orbit length of g_k under the
-pointwise stabilizer S_k of g_1..g_(k-1).  The orbits are found from the
-last generator up, so every automorphism already found lies in S_k.  The
-orbit of g_k and the set of candidates known to lie outside it are closed
-under those automorphisms, and only a candidate that neither closure reaches
-costs an existence search, stopping at its first leaf; a success adds that
-leaf's automorphism to the ones found (Seress, Permutation Group Algorithms,
-2003, ch. 4; Holt, Eick & O'Brien, 2005, ch. 4).
+not: it multiplies orbit lengths down a chain of pointwise stabilizers in
+Aut G, found by orbit closure under the automorphisms met so far (Seress,
+Permutation Group Algorithms, 2003, ch. 4; Holt, Eick & O'Brien, 2005, ch. 4).
 """
 
 from __future__ import annotations
@@ -42,6 +37,7 @@ from .core import (
     Group,
     IntegrityError,
     ResourceLimitError,
+    close_under_products,
     report,
 )
 from .numtheory import size_text
@@ -58,32 +54,17 @@ def _require_searchable(group: Group) -> None:
                                  f"the search cap of {AUT_ORDER_CAP}")
 
 
-def _index_table(group: Group) -> np.ndarray:
-    """The n x n array of product indices, table[i, j] = index of x_i * x_j,
-    from one batch product over all n^2 index pairs."""
-    n = group.order
-    idx = np.arange(n, dtype=np.int32)
-    return group.index_product(np.repeat(idx, n), np.tile(idx, n)).reshape(n, n)
-
-
 def _derived_subgroup(table: np.ndarray) -> np.ndarray:
     """Membership mask of the derived subgroup G', from an index table.
 
-    G' is the subgroup generated by the commutators x^-1 y^-1 x y.  The
-    commutators include the identity, so squaring their set S (all products
-    of two members) only grows it, and it is a subgroup once S S = S.
+    G' is the subgroup generated by the commutators x^-1 y^-1 x y, which
+    include the identity; it is their set closed under products.
     """
     inv = np.argmax(table == 0, axis=1)
-    products = table[table[inv[:, None], inv], table]
-    size = 0
-    while True:
-        member = np.zeros(len(table), dtype=bool)
-        member[products] = True
-        members = np.flatnonzero(member)
-        if len(members) == size:
-            return member
-        size = len(members)
-        products = table[members[:, None], members]
+    member = np.zeros(len(table), dtype=bool)
+    member[table[table[inv[:, None], inv], table]] = True
+    close_under_products(table, member)
+    return member
 
 
 def _power_map(table: np.ndarray, k: int) -> np.ndarray:
@@ -99,24 +80,15 @@ def _power_map(table: np.ndarray, k: int) -> np.ndarray:
 
 
 class MaterializedGroup:
-    """Index-based multiplication table for fast search.
-
-    Indices follow ``group.elements()``; index 0 is the identity.  The table
-    comes from one batch product over all n^2 index pairs (n is at most the
-    cap), and the element orders are the group's cached order array.
-    """
+    """The group's cached element orders and ``index_table()`` as the Python
+    lists the search reads; index 0 is the identity."""
 
     def __init__(self, group: Group):
         _require_searchable(group)
-        n = group.order
         self.group = group
+        self.n = group.order
         self.orders = group.element_orders().tolist()
-        self.table = _index_table(group).tolist()
-        self.n = n
-        buckets: dict[int, list[int]] = {}
-        for i, o in enumerate(self.orders):
-            buckets.setdefault(o, []).append(i)
-        self.order_buckets = buckets
+        self.table = group.index_table().tolist()
 
 
 def _closure_ids(table, gens) -> list[int]:
@@ -327,46 +299,22 @@ def _orbit_chain(mat: MaterializedGroup, gens: list[int],
     return orbits, rejected, found
 
 
-def _count_automorphisms(mat: MaterializedGroup, gens: list[int],
-                         candidates: list[list[int]]) -> int:
-    """|Aut G| as a product of orbit lengths, one per generator.
+def aut_count(group: Group) -> int:
+    """Exact size of the automorphism group, as a product of orbit lengths.
 
-    Let g1..gr be the generators.  An automorphism is fixed by its image
-    tuple (h1..hr), so Aut G acts regularly on the valid tuples by
-    composition.  The valid tuples that start with a valid prefix
-    (h1..h(k-1)) are the images of one coset of the pointwise stabilizer S_k
-    of g1..g(k-1), so their possible k-th entries form a translate of the
-    orbit of gk under S_k: every valid prefix has the same number of valid
-    extensions at position k.  The identity prefix (g1..g(k-1)) is always
-    valid, so counting there gives that number, and
+    For the greedy generators g1..gr, the k-th factor is the orbit of gk
+    under the pointwise stabilizer S_k of g1..g(k-1); an image of gk has
+    gk's order, so the orbit lies among the elements of that order.  An
+    automorphism is fixed by its image tuple, so Aut G acts regularly on the
+    valid tuples, and the valid tuples extending a valid prefix (h1..h(k-1))
+    are the images of one coset of S_k: every valid prefix has as many
+    valid k-th entries as the identity prefix, and
 
         |Aut G| = prod over k of |orbit of gk under S_k|
 
     (orbit-stabilizer down the chain of pointwise stabilizers; Holt, Eick &
-    O'Brien, Handbook of Computational Group Theory, 2005, ch. 4).  An image
-    of gk has gk's order, so the orbit lies in gk's order bucket.
-    ``_orbit_chain`` finds each orbit from the last generator up, closing
-    it and its complement under the automorphisms found so far, and runs an
-    existence search only for a candidate neither closure decides.
-    """
-    orbits, _, _ = _orbit_chain(mat, gens, candidates)
-    return math.prod(len(orbit) for orbit in orbits)
-
-
-def aut_count(group: Group) -> int:
-    """Exact size of the automorphism group, as a product of orbit lengths.
-
-    For the greedy generators g1..gr, the k-th factor is the number of
-    images of gk that extend, with g1..g(k-1) fixed, to an automorphism: the
-    orbit of gk under the pointwise stabilizer S_k.  The product is exact
-    because automorphisms act regularly on the valid generator-image tuples,
-    so every valid prefix has as many valid extensions as the identity
-    prefix (``_count_automorphisms`` gives the argument).  The orbits are
-    found from gr up to g1, each closed, together with the candidates known
-    to lie outside it, under the automorphisms found so far, which all lie
-    in S_k; a candidate neither closure decides costs one existence search,
-    which stops at its first complete assignment and records it
-    (``_orbit_chain``).  A full count would visit one leaf per automorphism.
+    O'Brien, 2005, ch. 4).  ``_orbit_chain`` finds the orbits.  A full count
+    would visit one leaf per automorphism.
 
     Abelian groups of multi-prime order factor as a direct product of their
     coprime primary parts, and automorphisms respect that splitting, so each
@@ -391,8 +339,9 @@ def aut_count(group: Group) -> int:
             f"{group.name} needs {len(gens)} generators; the automorphism "
             f"counter refuses beyond {AUT_GENERATOR_CAP}"
         )
-    candidates = [list(mat.order_buckets[mat.orders[g]]) for g in gens]
-    return _count_automorphisms(mat, gens, candidates)
+    candidates = [np.flatnonzero(orders == orders[g]).tolist() for g in gens]
+    orbits, _, _ = _orbit_chain(mat, gens, candidates)
+    return math.prod(len(orbit) for orbit in orbits)
 
 
 def hom_count(source: Group, target: Group) -> int:
@@ -413,7 +362,7 @@ def hom_count(source: Group, target: Group) -> int:
     if target.element_orders().max() == k:
         if source.is_abelian():
             return int(np.count_nonzero(k % source.element_orders() == 0))
-        table = _index_table(source)
+        table = source.index_table()
         in_derived = _derived_subgroup(table)
         return int(np.count_nonzero(in_derived[_power_map(table, k)])
                    // np.count_nonzero(in_derived))
@@ -439,7 +388,7 @@ def center_size(group: Group) -> int:
     """Size of the center: the rows of the index table that equal their
     columns, x y = y x for every y."""
     _require_searchable(group)
-    table = _index_table(group)
+    table = group.index_table()
     return int(np.count_nonzero((table == table.T).all(axis=1)))
 
 

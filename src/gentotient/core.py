@@ -46,7 +46,7 @@ MAX_ELEMENTS_ENV = "GENTOTIENT_MAX_ELEMENTS"
 
 PERMUTATION_ENUM_LIMIT = 10  # S_n / A_n element streams only up to here
 PARTITION_ENGINE_LIMIT = 40  # S_n / A_n spectra via cycle types up to here
-CAYLEY_TABLE_LIMIT = 512     # validation holds a few n^2 arrays at once
+CAYLEY_TABLE_LIMIT = 512     # largest index table; validation holds a few n^2 arrays
 ENGINE_CHUNK = 1 << 13       # elements per batch while building power maps
 
 
@@ -215,6 +215,8 @@ class Group:
     """Base class: immutable finite group with canonical element payloads."""
 
     kind = "group"
+    # set on the instance by index_table(), so untabled groups carry no slot
+    _table: Optional[np.ndarray] = None
 
     def __init__(self, order: int, name: str, kind: Optional[str] = None):
         self.order = order
@@ -289,6 +291,20 @@ class Group:
             self.require_enumerable()
             self._orders = _element_orders(self)
         return self._orders
+
+    def index_table(self) -> np.ndarray:
+        """Read-only n x n array, table[i, j] = index of x_i * x_j, from one
+        batch product over all n^2 index pairs."""
+        if self._table is None:
+            n = self.order
+            if n > CAYLEY_TABLE_LIMIT:
+                raise ResourceLimitError(f"|{self.name}| = {size_text(n)} exceeds the "
+                                         f"table limit of {CAYLEY_TABLE_LIMIT}")
+            idx = np.arange(n, dtype=np.int32)
+            table = self.index_product(np.repeat(idx, n), np.tile(idx, n))
+            self._table = table.reshape(n, n).astype(np.intp, copy=False)
+            self._table.flags.writeable = False
+        return self._table
 
     # -- generic machinery -------------------------------------------------
 
@@ -1053,6 +1069,16 @@ def _table_array(table, n: int) -> np.ndarray:
     raise IntegrityError("table entries are not integers below the side")
 
 
+def close_under_products(table: np.ndarray, inside: np.ndarray) -> None:
+    """Grow the membership mask ``inside``, in place, until its members are
+    closed under the products of the index table."""
+    while True:
+        members = np.flatnonzero(inside)
+        inside[table[np.ix_(members, members)]] = True
+        if np.count_nonzero(inside) == len(members):
+            return
+
+
 def _magma_generators(arr: np.ndarray) -> list[int]:
     """Indices that generate the table under products, picked greedily.
 
@@ -1068,11 +1094,7 @@ def _magma_generators(arr: np.ndarray) -> list[int]:
         pick = int(np.argmin(inside))
         picks.append(pick)
         inside[pick] = True
-        while True:
-            members = np.flatnonzero(inside)
-            inside[arr[np.ix_(members, members)]] = True
-            if np.count_nonzero(inside) == len(members):
-                break
+        close_under_products(arr, inside)
     return picks
 
 
@@ -1137,12 +1159,13 @@ class CayleyTableGroup(Group):
             raise IntegrityError(f"index 0 is not a right identity at row {j}")
         _check_associativity(arr)
         super().__init__(n, name)
-        self._array = arr
+        arr.flags.writeable = False
+        self._table = arr  # the validated table is the index_table() cache
 
     @cached_property
     def table(self) -> list[list[int]]:
         """Rows of the table as lists of Python ints."""
-        return self._array.tolist()
+        return self._table.tolist()
 
     def identity(self):
         return 0
@@ -1165,13 +1188,13 @@ class CayleyTableGroup(Group):
         return batch
 
     def _batch_multiply(self, x, y):
-        return self._array[x, y]
+        return self._table[x, y]
 
     def _unpack(self, batch):
         return batch.tolist()
 
     def is_abelian(self):
-        return bool(np.array_equal(self._array, self._array.T))
+        return bool(np.array_equal(self._table, self._table.T))
 
 
 # ---------------------------------------------------------------------------

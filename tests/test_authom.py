@@ -135,7 +135,7 @@ def test_hom_from_abelian_into_cyclic_matches_backtracking():
 
 def test_derived_subgroup_orders():
     def derived_order(group):
-        return int(authom._derived_subgroup(authom._index_table(group)).sum())
+        return int(authom._derived_subgroup(group.index_table()).sum())
 
     assert derived_order(fam.symmetric(4)) == 12
     assert derived_order(fam.alternating(4)) == 4
@@ -153,8 +153,21 @@ def test_aut_of_cyclic_matches_the_orbit_search():
     groups += [fam.direct_product([fam.cyclic(4), fam.cyclic(3)]), fam.metacyclic(4, 2, 1, 1)]
     for group in groups:
         mat, gens, candidates = _generators_and_candidates(group)
-        assert authom.aut_count(group) == authom._count_automorphisms(
-            mat, gens, candidates), group.name
+        orbits, _, _ = authom._orbit_chain(mat, gens, candidates)
+        assert authom.aut_count(group) == math.prod(map(len, orbits)), group.name
+
+
+def test_product_formula_builds_one_table(monkeypatch):
+    pairs = []
+    index_product = Group.index_product
+
+    def counted(self, a, b):
+        pairs.append(len(a))
+        return index_product(self, a, b)
+
+    monkeypatch.setattr(Group, "index_product", counted)
+    assert authom.aut_product_formula(fam.cyclic(6), fam.symmetric(4)) == 96
+    assert pairs.count(576) == 1
 
 
 def test_hom_from_trivial_group_is_one():
@@ -349,7 +362,8 @@ def _generators_and_candidates(group):
     gens = authom.greedy_generators(mat)
     if len(gens) > authom.AUT_GENERATOR_CAP:
         raise ResourceLimitError(f"{group.name} needs {len(gens)} generators")
-    return mat, gens, [list(mat.order_buckets[mat.orders[g]]) for g in gens]
+    return mat, gens, [[i for i, o in enumerate(mat.orders) if o == mat.orders[g]]
+                       for g in gens]
 
 
 def leaf_count_aut(group):

@@ -149,3 +149,10 @@ def test_scan_families_is_cached_and_bounded():
     assert all(g.order <= 40 for g in groups)
     names = {g.name for g in groups}
     assert {"Z1", "D8", "Q8", "SD16", "S4", "A4", "P(3,2,2)"} <= names
+
+
+def test_catalog_groups_keep_no_index_table():
+    classc.catalog_scan(2, 64)
+    verification.class_c_sweep(100)
+    for g in classc.scan_families(64) + classc.standard_catalog(100):
+        assert g._table is None, g.name

@@ -1,6 +1,7 @@
 """Command-line surface: expressions, formats, exit codes, import registry."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -250,12 +251,24 @@ def test_verify_is_deterministic(capsys):
     assert first == second
 
 
+VERIFY_ALL_SHA256 = {
+    (): "fe2625b9c49073995a960ebd6c8f75f0c5d119d6a256829124873ec5b00c482a",
+    ("--json",): "0a8c669b36c0aa826019702297ca9681a25c6377bae1126d05f3b9f1942aa809",
+    ("--csv",): "b0d0600c676df5882c9c12baf59eae20bc7ba699c81d65ce874ff552d54fe240",
+}
+
+
 def test_verify_all_passes_and_is_deterministic(capsys):
     code, first, _ = run_cli(capsys, "verify", "all")
     assert code == 0
     assert "0 failed" in first
     code, second, _ = run_cli(capsys, "verify", "all")
     assert first == second
+    # every output format is pinned byte for byte
+    for flags, digest in VERIFY_ALL_SHA256.items():
+        code, out, _ = run_cli(capsys, "verify", "all", *flags)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, flags
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):
@@ -306,9 +319,7 @@ def test_solve_composite_is_usage_error(capsys):
 
 
 def q8_table():
-    from gentotient.authom import MaterializedGroup
-
-    return MaterializedGroup(fam.generalized_quaternion(8)).table
+    return fam.generalized_quaternion(8).index_table().tolist()
 
 
 def test_import_table_and_eval(tmp_path, capsys):

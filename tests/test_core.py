@@ -10,7 +10,9 @@ import gentotient as gt
 from gentotient import closedforms as cf
 from gentotient import families as fam
 from gentotient.core import (
+    CAYLEY_TABLE_LIMIT,
     CayleyTableGroup,
+    Group,
     IntegrityError,
     OrderSpectrum,
     RealizationError,
@@ -405,9 +407,7 @@ def test_factorize_refuses_a_composite_cofactor_beyond_trial_division():
 
 
 def q8_table():
-    from gentotient.authom import MaterializedGroup
-
-    return MaterializedGroup(fam.generalized_quaternion(8)).table
+    return fam.generalized_quaternion(8).index_table().tolist()
 
 
 def test_cayley_table_group_roundtrip():
@@ -483,6 +483,38 @@ def test_cayley_table_rows_are_python_ints():
 
 def test_cayley_table_trivial():
     assert CayleyTableGroup([[0]]).spectrum().entries == {1: 1}
+
+
+# -- the one index table --------------------------------------------------------
+
+
+def test_index_table_is_built_once_and_read_only():
+    group = fam.dihedral(12)
+    table = group.index_table()
+    assert group.index_table() is table
+    assert table[3, 0] == 3 and table[0, 5] == 5
+    with pytest.raises(ValueError):
+        table[0, 0] = 1
+
+
+def _no_product(self, a, b):
+    raise AssertionError(f"batch product on {self.name}")
+
+
+def test_cayley_table_group_table_needs_no_product(monkeypatch):
+    rows = q8_table()
+    monkeypatch.setattr(Group, "index_product", _no_product)
+    group = CayleyTableGroup(rows, name="q8-table")
+    assert group.index_table().tolist() == rows
+    assert group.index_table() is group.index_table()
+
+
+def test_index_table_refuses_above_the_limit_before_any_product(monkeypatch):
+    monkeypatch.setattr(Group, "index_product", _no_product)
+    big = fam.cyclic(CAYLEY_TABLE_LIMIT + 1)
+    with pytest.raises(ResourceLimitError, match="Z513\\| = 513 exceeds the table limit of 512"):
+        big.index_table()
+    assert big._table is None
 
 
 # -- property-based checks ----------------------------------------------------
