@@ -33,7 +33,6 @@ import numpy as np
 
 from .core import (
     AbelianGroup,
-    CyclicGroup,
     Group,
     IntegrityError,
     ResourceLimitError,
@@ -52,6 +51,11 @@ def _require_searchable(group: Group) -> None:
     if group.order > AUT_ORDER_CAP:
         raise ResourceLimitError(f"|{group.name}| = {size_text(group.order)} exceeds "
                                  f"the search cap of {AUT_ORDER_CAP}")
+
+
+def _is_cyclic(group: Group) -> bool:
+    """Whether the group's element orders reach its order."""
+    return bool(group.element_orders().max() == group.order)
 
 
 def _derived_subgroup(table: np.ndarray) -> np.ndarray:
@@ -91,25 +95,11 @@ class MaterializedGroup:
         self.table = group.index_table().tolist()
 
 
-def _closure_ids(table, gens) -> list[int]:
-    sub = [0]
-    seen = {0}
-    idx = 0
-    while idx < len(sub):
-        x = sub[idx]
-        idx += 1
-        for g in gens:
-            y = table[x][g]
-            if y not in seen:
-                seen.add(y)
-                sub.append(y)
-    return sub
-
-
 def greedy_generators(mat: MaterializedGroup) -> list[int]:
     """Generating set grown by repeatedly taking a maximal-order element
     outside the closure so far (smallest index on ties)."""
     gens: list[int] = []
+    maps: list[list[int]] = []  # right multiplication by each generator
     closure = {0}
     while len(closure) < mat.n:
         best = -1
@@ -118,7 +108,17 @@ def greedy_generators(mat: MaterializedGroup) -> list[int]:
             if i not in closure and mat.orders[i] > best_order:
                 best, best_order = i, mat.orders[i]
         gens.append(best)
-        closure = set(_closure_ids(mat.table, gens))
+        maps.append([row[best] for row in mat.table])
+        _close(closure, maps)
+    return gens
+
+
+def _capped_generators(mat: MaterializedGroup, counter: str) -> list[int]:
+    """Greedy generators of the group, refused beyond AUT_GENERATOR_CAP."""
+    gens = greedy_generators(mat)
+    if len(gens) > AUT_GENERATOR_CAP:
+        raise ResourceLimitError(f"{mat.group.name} needs {len(gens)} generators; the {counter} "
+                                 f"counter refuses beyond {AUT_GENERATOR_CAP}")
     return gens
 
 
@@ -330,15 +330,10 @@ def aut_count(group: Group) -> int:
         return out
     _require_searchable(group)
     orders = group.element_orders()
-    if orders.max() == group.order:
+    if _is_cyclic(group):
         return int(np.count_nonzero(orders == group.order))
     mat = MaterializedGroup(group)
-    gens = greedy_generators(mat)
-    if len(gens) > AUT_GENERATOR_CAP:
-        raise ResourceLimitError(
-            f"{group.name} needs {len(gens)} generators; the automorphism "
-            f"counter refuses beyond {AUT_GENERATOR_CAP}"
-        )
+    gens = _capped_generators(mat, "automorphism")
     candidates = [np.flatnonzero(orders == orders[g]).tolist() for g in gens]
     orbits, _, _ = _orbit_chain(mat, gens, candidates)
     return math.prod(len(orbit) for orbit in orbits)
@@ -359,24 +354,18 @@ def hom_count(source: Group, target: Group) -> int:
     _require_searchable(source)
     _require_searchable(target)
     k = target.order
-    if target.element_orders().max() == k:
+    if _is_cyclic(target):
         if source.is_abelian():
             return int(np.count_nonzero(k % source.element_orders() == 0))
         table = source.index_table()
         in_derived = _derived_subgroup(table)
         return int(np.count_nonzero(in_derived[_power_map(table, k)])
                    // np.count_nonzero(in_derived))
-    m = source.order
-    if source.element_orders().max() == m:
-        return int(np.count_nonzero(m % target.element_orders() == 0))
+    if _is_cyclic(source):
+        return int(np.count_nonzero(source.order % target.element_orders() == 0))
     src = MaterializedGroup(source)
     dst = MaterializedGroup(target)
-    gens = greedy_generators(src)
-    if len(gens) > AUT_GENERATOR_CAP:
-        raise ResourceLimitError(
-            f"{source.name} needs {len(gens)} generators; the homomorphism "
-            f"counter refuses beyond {AUT_GENERATOR_CAP}"
-        )
+    gens = _capped_generators(src, "homomorphism")
     candidates = [
         [j for j in range(dst.n) if src.orders[g] % dst.orders[j] == 0]
         for g in gens
@@ -396,9 +385,10 @@ def aut_product_formula(g1: Group, g2: Group) -> int:
     """|Aut(G1 x G2)| = |Aut(G1)| * |Aut(G2)| * |Hom(G2, G1)|.
 
     Requires G1 cyclic and G2 with trivial center; both hypotheses are
-    checked (the center from the index table).
+    checked (G1 from its element orders, the center from the index table).
     """
-    if not isinstance(g1, CyclicGroup):
+    _require_searchable(g1)
+    if not _is_cyclic(g1):
         raise ValueError(f"first factor must be cyclic, got {g1.name}")
     if center_size(g2) != 1:
         raise ValueError(

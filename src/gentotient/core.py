@@ -880,57 +880,62 @@ class PermutationClosureGroup(_PermutationBase):
             if len(g) != degree or sorted(g) != list(range(degree)):
                 raise IntegrityError(f"{g!r} is not a permutation of 0..{degree - 1}")
         self.generators = tuple(map(tuple, generators))
-        self._closure = self._compute_closure(degree, enumeration_cap())
-        self._rows = None  # (batch of all elements, sorted keys, argsort of keys)
-        super().__init__(degree, len(self._closure),
+        # Breadth-first closure of the identity, one level at a time: level
+        # x1, x2, ... yields x1 g1, x1 g2, ..., x2 g1, ..., and the products
+        # not seen before, in that order, form the next level.
+        gens = np.array(self.generators, dtype=np.uint8 if degree <= 256 else np.int32).T
+        level = np.arange(degree, dtype=gens.dtype)[:, None]
+        levels = [level]
+        seen = set(_row_keys(level).tolist())
+        cap = enumeration_cap()
+        while level.shape[1]:
+            products = self._batch_multiply(np.repeat(level, len(self.generators), axis=1),
+                                            np.tile(gens, level.shape[1]))
+            fresh = []
+            for j, key in enumerate(_row_keys(products).tolist()):
+                if key not in seen:
+                    seen.add(key)
+                    fresh.append(j)
+            if len(seen) > cap:
+                raise ResourceLimitError(
+                    f"generator closure exceeded the enumeration cap of "
+                    f"{cap} elements (set {MAX_ELEMENTS_ENV} to raise it)"
+                )
+            level = products[:, fresh]
+            levels.append(level)
+        # every element once: its images, and the sorted keys and their argsort
+        self._rows = np.concatenate(levels, axis=1)
+        keys = _row_keys(self._rows)
+        self._by_key = np.argsort(keys)
+        self._keys = keys[self._by_key]
+        super().__init__(degree, self._rows.shape[1],
                          name or f"<{len(generators)} gens on {degree} points>", kind)
-
-    def _compute_closure(self, degree: int, cap: int) -> list:
-        identity = tuple(range(degree))
-        seen = {identity}
-        ordered = [identity]
-        frontier = [identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in self.generators:
-                    y = tuple(x[g[i]] for i in range(degree))
-                    if y not in seen:
-                        seen.add(y)
-                        ordered.append(y)
-                        nxt.append(y)
-                        if len(seen) > cap:
-                            raise ResourceLimitError(
-                                f"generator closure exceeded the enumeration cap of "
-                                f"{cap} elements (set {MAX_ELEMENTS_ENV} to raise it)"
-                            )
-            frontier = nxt
-        return ordered
 
     def elements(self):
         """Every element, in breadth-first order from the identity."""
         self.require_enumerable()
-        return iter(self._closure)
+        return iter(self._unpack(self._rows))
 
-    def _row_index(self):
-        if self._rows is None:
-            dtype = np.uint8 if self.degree <= 256 else np.int32
-            rows = np.array(self._closure, dtype=dtype).T.copy()
-            keys = _row_keys(rows)
-            by_key = np.argsort(keys)
-            self._rows = (rows, keys[by_key], by_key)
-        return self._rows
+    def _find(self, batch):
+        """Each column's index in the closure, and whether it is there at all."""
+        keys = _row_keys(batch)
+        at = np.searchsorted(self._keys, keys).clip(max=len(self._keys) - 1)
+        return self._by_key[at], self._keys[at] == keys
+
+    def validate_element(self, x):
+        super().validate_element(x)
+        _, found = self._find(np.array(x, dtype=self._rows.dtype)[:, None])
+        if not found[0]:
+            raise RealizationError(f"{x!r} is not an element of {self.name}")
 
     def _decode(self, idx):
-        return self._row_index()[0][:, idx]
+        return self._rows[:, idx]
 
     def _encode(self, batch):
-        _, sorted_keys, by_key = self._row_index()
-        keys = _row_keys(batch)
-        at = np.searchsorted(sorted_keys, keys).clip(max=len(sorted_keys) - 1)
-        if not np.array_equal(sorted_keys[at], keys):
+        idx, found = self._find(batch)
+        if not found.all():
             raise IntegrityError(f"a product left the closure of {self.name}")
-        return by_key[at]
+        return idx
 
     def is_abelian(self):
         return all(

@@ -247,6 +247,28 @@ def test_aut_product_formula_preconditions():
         authom.aut_product_formula(fam.cyclic(3), fam.generalized_quaternion(8))
 
 
+def test_aut_product_formula_takes_any_cyclic_first_factor():
+    # Z4xZ3 and MC(12,1,0,1) are Z12 realized as an abelian product and as a
+    # metacyclic presentation; cyclicity is read from the element orders
+    s3 = fam.symmetric(3)
+    for g1 in (fam.abelian([(2, [2]), (3, [1])]), fam.metacyclic(12, 1, 0, 1)):
+        expected = authom.aut_count(fam.direct_product([g1, s3]))
+        assert expected == 48
+        assert authom.aut_product_formula(g1, s3) == expected
+    with pytest.raises(ResourceLimitError, match=r"\|Z300\| = 300 exceeds the search cap"):
+        authom.aut_product_formula(fam.cyclic(300), s3)
+
+
+def test_generator_cap_refusals_name_their_counter():
+    z2_5 = fam.elementary_abelian(2, 5)
+    with pytest.raises(ResourceLimitError, match=re.escape(
+            "Z2^5 needs 5 generators; the automorphism counter refuses beyond 4")):
+        authom.aut_count(z2_5)
+    with pytest.raises(ResourceLimitError, match=re.escape(
+            "Z2^5 needs 5 generators; the homomorphism counter refuses beyond 4")):
+        authom.hom_count(z2_5, fam.symmetric(3))
+
+
 def test_caps_refuse_rather_than_degrade():
     with pytest.raises(ResourceLimitError):
         authom.aut_count(fam.cyclic(300))  # order cap

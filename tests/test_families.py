@@ -1,6 +1,8 @@
 """Family constructors: declared orders, presets, and product laws."""
 
+import itertools
 import math
+import re
 
 import pytest
 
@@ -9,6 +11,8 @@ from gentotient import families as fam
 from gentotient.core import (
     IntegrityError,
     PermutationClosureGroup,
+    RealizationError,
+    ResourceLimitError,
     spectrum_by_enumeration,
 )
 from gentotient.numtheory import euler_phi, factorize, is_prime
@@ -103,6 +107,48 @@ def test_dihedral_preset_matches_permutation_realization():
     perm_d8 = PermutationClosureGroup([(1, 2, 3, 0), (3, 2, 1, 0)], name="D8-perm")
     assert perm_d8.order == 8
     assert spectrum_by_enumeration(perm_d8).entries == fam.dihedral(8).spectrum().entries
+
+
+def test_permutation_closure_keeps_breadth_first_order():
+    # indices feed the order engine and greedy_generators, so the order of
+    # the closure is pinned: each level is x1 g1, x1 g2, ..., x2 g1, ...
+    perm_d8 = PermutationClosureGroup([(1, 2, 3, 0), (3, 2, 1, 0)], name="D8-perm")
+    assert list(perm_d8.elements()) == [
+        (0, 1, 2, 3), (1, 2, 3, 0), (3, 2, 1, 0), (2, 3, 0, 1),
+        (0, 3, 2, 1), (2, 1, 0, 3), (3, 0, 1, 2), (1, 0, 3, 2),
+    ]
+    assert list(itertools.islice(fam.mathieu11().elements(), 8)) == [
+        (0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
+        (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 0),
+        (0, 1, 6, 9, 5, 3, 10, 2, 8, 4, 7),
+        (2, 3, 4, 5, 6, 7, 8, 9, 10, 0, 1),
+        (1, 2, 7, 10, 6, 4, 0, 3, 9, 5, 8),
+        (1, 6, 9, 5, 3, 10, 2, 8, 4, 7, 0),
+        (0, 1, 10, 4, 3, 9, 7, 6, 8, 5, 2),
+        (3, 4, 5, 6, 7, 8, 9, 10, 0, 1, 2),
+    ]
+
+
+def test_permutation_closure_refuses_beyond_the_enumeration_cap(monkeypatch):
+    monkeypatch.setenv("GENTOTIENT_MAX_ELEMENTS", "100")
+    with pytest.raises(ResourceLimitError, match=re.escape(
+            "generator closure exceeded the enumeration cap of 100 elements "
+            "(set GENTOTIENT_MAX_ELEMENTS to raise it)")):
+        PermutationClosureGroup([(1, 2, 3, 4, 5, 0), (1, 0, 2, 3, 4, 5)], name="S6")
+
+
+def test_generated_groups_accept_only_their_own_elements():
+    perm_d8 = PermutationClosureGroup([(1, 2, 3, 0), (3, 2, 1, 0)], name="D8-perm")
+    for x in perm_d8.elements():
+        perm_d8.validate_element(x)
+    with pytest.raises(RealizationError, match=re.escape(
+            "(1, 0, 2, 3) is not an element of D8-perm")):
+        gt.multiply(perm_d8, (1, 0, 2, 3), perm_d8.identity())
+    swap = (1, 0) + tuple(range(2, 11))
+    with pytest.raises(RealizationError, match="is not an element of M11"):
+        gt.order(fam.mathieu11(), swap)
+    with pytest.raises(RealizationError, match="is not a permutation of 4 points"):
+        perm_d8.validate_element((0, 0, 1, 2))
 
 
 def test_quasidihedral_matches_permutation_realization():
