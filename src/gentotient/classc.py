@@ -17,7 +17,9 @@ from . import families
 from .closedforms import (
     _metacyclic_presentations_of,
     abelian_types_up_to,
+    hamiltonian_types_up_to,
     metacyclic_order_profile,
+    p_group_parameters,
 )
 from .core import DirectProductGroup, Group, IntegrityError
 from .numtheory import is_prime
@@ -135,18 +137,10 @@ def scan_families(order_bound: int) -> tuple:
     for m in range(1, order_bound + 1):
         for params in _metacyclic_presentations_of(m, order_bound // m):
             groups.append(families.metacyclic(*params))
-    for p in range(3, order_bound + 1, 2):
-        if not is_prime(p):
-            continue
-        for q in range(2, p):
-            if not is_prime(q) or (p - 1) % q != 0:
-                continue
-            n = 2
-            while p ** (n - 1) * q <= order_bound:
-                g = families.p_group_P(p, q, n)
-                groups.append(g)
-                nonabelian.append(g)
-                n += 1
+    for params in p_group_parameters(order_bound):
+        g = families.p_group_P(*params)
+        groups.append(g)
+        nonabelian.append(g)
     n = 1
     while math.factorial(n) <= order_bound:
         g = families.symmetric(n)
@@ -161,13 +155,9 @@ def scan_families(order_bound: int) -> tuple:
         if n >= 4:
             nonabelian.append(g)
         n += 1
-    rank = 0
-    while 8 * 2**rank <= order_bound:
-        groups.append(families.hamiltonian(rank, families.cyclic(1)))
-        for a_order, ptype in abelian_types_up_to(order_bound // (8 * 2**rank)):
-            if a_order % 2 == 1:
-                groups.append(families.hamiltonian(rank, families.abelian(ptype)))
-        rank += 1
+    for rank, odd_type in hamiltonian_types_up_to(order_bound):
+        odd = families.abelian(odd_type) if odd_type else families.cyclic(1)
+        groups.append(families.hamiltonian(rank, odd))
     if order_bound >= families.MATHIEU11_ORDER:
         groups.append(families.mathieu11())
     for h in nonabelian:

@@ -7,8 +7,8 @@ Subcommands:
   import PATH            validate and register a table / generator file as @id
 
 Group expressions: `Z6`, `Z2^3`, `D8`, `Q16`, `SD16`, `S5`, `A6`, `M11`,
-`MC(m,n,s,r)`, `Ab(2:1,2;3:1)`, `P(p,q,n)`, `@imported`, products with `x`
-(for example `Z6xS3`).
+`MC(m,n,s,r)`, `Ab(2:1,2;3:1)`, `P(p,q,n)`, `@imported`; every `x` separates
+the factors of a product (for example `Z6xS3`).
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 resource limit, 4 input-file integrity error.
@@ -23,6 +23,7 @@ import math
 import os
 import re
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 from . import families
@@ -57,20 +58,31 @@ class ExpressionError(ValueError):
 _ID = r"[\w.-]+"  # what @id accepts as an id
 
 
+# One row per form: its pattern; for the forms whose order can outgrow what
+# Python prints, log10 |G| from the matched integers, so that the group is
+# refused before it is built (building Z2^(10^11) alone would exhaust memory);
+# and its constructor.  Ab(...) checks its own size once its body is parsed.
 _FACTOR_PATTERNS = [
-    (re.compile(r"^M11$"), lambda m, reg: families.mathieu11()),
-    (re.compile(r"^Z(\d+)\^(\d+)$"), lambda m, reg: _power_of_cyclic(int(m.group(1)), int(m.group(2)))),
-    (re.compile(r"^Z(\d+)$"), lambda m, reg: families.cyclic(int(m.group(1)))),
-    (re.compile(r"^D(\d+)$"), lambda m, reg: families.dihedral(int(m.group(1)))),
-    (re.compile(r"^Q(\d+)$"), lambda m, reg: families.generalized_quaternion(int(m.group(1)))),
-    (re.compile(r"^SD(\d+)$"), lambda m, reg: families.quasidihedral(int(m.group(1)))),
-    (re.compile(r"^S(\d+)$"), lambda m, reg: _of_degree(m, families.symmetric, 1)),
-    (re.compile(r"^A(\d+)$"), lambda m, reg: _of_degree(m, families.alternating, 2)),
-    (re.compile(r"^MC\((\d+),(\d+),(\d+),(\d+)\)$"),
-     lambda m, reg: families.metacyclic(*(int(x) for x in m.groups()))),
-    (re.compile(r"^P\((\d+),(\d+),(\d+)\)$"), lambda m, reg: _p_group(m)),
-    (re.compile(r"^Ab\(([0-9:,;]+)\)$"), lambda m, reg: _parse_abelian(m.group(0), m.group(1))),
-    (re.compile(rf"^@({_ID})$"), lambda m, reg: _load_registered(m.group(1), reg)),
+    (re.compile(r"^M11$"), None, lambda m, reg: families.mathieu11()),
+    # a zero base passes the size row, and the constructor rejects it
+    (re.compile(r"^Z(\d+)\^(\d+)$"), lambda b, k: k * math.log10(b) if b else 0,
+     lambda m, reg: _power_of_cyclic(int(m[1]), int(m[2]))),
+    (re.compile(r"^Z(\d+)$"), None, lambda m, reg: families.cyclic(int(m[1]))),
+    (re.compile(r"^D(\d+)$"), None, lambda m, reg: families.dihedral(int(m[1]))),
+    (re.compile(r"^Q(\d+)$"), None, lambda m, reg: families.generalized_quaternion(int(m[1]))),
+    (re.compile(r"^SD(\d+)$"), None, lambda m, reg: families.quasidihedral(int(m[1]))),
+    (re.compile(r"^S(\d+)$"), lambda n: math.lgamma(n + 1) / math.log(10),
+     lambda m, reg: families.symmetric(int(m[1]))),
+    (re.compile(r"^A(\d+)$"), lambda n: (math.lgamma(n + 1) - math.log(2)) / math.log(10),
+     lambda m, reg: families.alternating(int(m[1]))),
+    (re.compile(r"^MC\((\d+),(\d+),(\d+),(\d+)\)$"), None,
+     lambda m, reg: families.metacyclic(*map(int, m.groups()))),
+    # parameters below 2 pass the size row, and the constructor rejects them
+    (re.compile(r"^P\((\d+),(\d+),(\d+)\)$"),
+     lambda p, q, n: (n - 1) * math.log10(max(p, 1)) + math.log10(max(q, 1)),
+     lambda m, reg: families.p_group_P(*map(int, m.groups()))),
+    (re.compile(r"^Ab\(([0-9:,;]+)\)$"), None, lambda m, reg: _parse_abelian(m[0], m[1])),
+    (re.compile(rf"^@({_ID})$"), None, lambda m, reg: _load_registered(m[1], reg)),
 ]
 
 
@@ -78,30 +90,12 @@ def _power_of_cyclic(base: int, k: int) -> Group:
     """Z_base^k as an abelian group, so its spectrum is subject to the cap."""
     if base < 1 or k < 1:
         raise ValueError(f"need a base and a power >= 1, got Z{base}^{k}")
-    # refused before it is built: building Z2^(10^11) alone would exhaust memory
-    _require_printable(f"Z{base}^{k}", "order", int(k * math.log10(base)) + 1)
     if base == 1:
         return families.cyclic(1)
     if is_prime(base):
         return families.elementary_abelian(base, k)
     return AbelianGroup([(p, [a] * k) for p, a in factorize(base).items()],
                         name=f"Z{base}^{k}")
-
-
-def _of_degree(m: re.Match, build, index: int) -> Group:
-    """S<n> or A<n>, the group of order n!/index for the matched n."""
-    n = int(m.group(1))
-    log10_order = (math.lgamma(n + 1) - math.log(index)) / math.log(10)
-    _require_printable(m.group(0), "order", int(log10_order) + 1)
-    return build(n)
-
-
-def _p_group(m: re.Match) -> Group:
-    """P(p,q,n); parameters below 2 pass the guard, and the constructor rejects them."""
-    p, q, n = (int(x) for x in m.groups())
-    log10_order = (n - 1) * math.log10(max(p, 1)) + math.log10(max(q, 1))
-    _require_printable(m.group(0), "order", int(log10_order) + 1)
-    return families.p_group_P(p, q, n)
 
 
 def _parse_abelian(token: str, body: str) -> Group:
@@ -117,40 +111,25 @@ def _parse_abelian(token: str, body: str) -> Group:
     return families.abelian(ptype)
 
 
-def _split_product(expr: str) -> list[str]:
-    """Split on 'x' separators outside parentheses."""
-    out, depth, cur = [], 0, []
-    for ch in expr:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise ExpressionError(f"unbalanced parentheses in {expr!r}")
-        if ch == "x" and depth == 0:
-            out.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-    if depth != 0:
-        raise ExpressionError(f"unbalanced parentheses in {expr!r}")
-    out.append("".join(cur))
-    return out
-
-
 def parse_group_expression(expr: str, registry_path: Path = None) -> Group:
-    """Turn a family expression like `Z6xS3` into a group."""
+    """Turn a family expression like `Z6xS3` into a group; every `x` separates factors."""
     expr = expr.replace(" ", "")
     if not expr:
         raise ExpressionError("empty expression")
+    depth = list(accumulate((ch == "(") - (ch == ")") for ch in expr))
+    if min(depth) < 0 or depth[-1]:
+        raise ExpressionError(f"unbalanced parentheses in {expr!r}")
     factors = []
-    for token in _split_product(expr):
+    for token in expr.split("x"):
         if not token:
             raise ExpressionError(f"empty factor in {expr!r}")
-        for pattern, build in _FACTOR_PATTERNS:
+        for pattern, log10_order, build in _FACTOR_PATTERNS:
             m = pattern.match(token)
             if m:
                 try:
+                    if log10_order:
+                        digits = int(log10_order(*map(int, m.groups()))) + 1
+                        _require_printable(token, "order", digits)
                     factors.append(build(m, registry_path))
                 except (ValueError, KeyError, OverflowError) as exc:
                     if isinstance(exc, ExpressionError):

@@ -330,6 +330,35 @@ def abelian_types_up_to(bound: int):
             yield n, combo
 
 
+def hamiltonian_types_up_to(bound: int):
+    """Every (n, A) with |Q_8 x Z_2^n x A| <= bound, A abelian of odd order.
+
+    Yields (n, odd type) pairs, rank by rank; the trivial A, type [], comes
+    first in each rank.
+    """
+    rank = 0
+    while 8 * 2**rank <= bound:
+        yield rank, []
+        for a_order, ptype in abelian_types_up_to(bound // (8 * 2**rank)):
+            if a_order % 2 == 1:
+                yield rank, ptype
+        rank += 1
+
+
+def p_group_parameters(bound: int):
+    """Every (p, q, n) accepted by the P(p, q, n) constructor with p^(n-1) q <= bound."""
+    for p in range(3, bound + 1, 2):
+        if not is_prime(p):
+            continue
+        for q in range(2, p):
+            if not is_prime(q) or (p - 1) % q != 0:
+                continue
+            n = 2
+            while p ** (n - 1) * q <= bound:
+                yield p, q, n
+                n += 1
+
+
 def valid_metacyclic_presentations(max_m: int, max_n: int):
     """All (m, n, s, r) accepted by the metacyclic constructor, in order."""
     for m in range(1, max_m + 1):

@@ -876,6 +876,8 @@ class PermutationClosureGroup(_PermutationBase):
                 for g in generators)):
             raise IntegrityError("generators must be a nonempty list of integer lists")
         degree = len(generators[0])
+        if not degree:
+            raise IntegrityError("generators on zero points; the trivial group is [[0]]")
         for g in generators:
             if len(g) != degree or sorted(g) != list(range(degree)):
                 raise IntegrityError(f"{g!r} is not a permutation of 0..{degree - 1}")

@@ -94,10 +94,7 @@ def hamiltonian(n: int, odd_abelian: Group) -> DirectProductGroup:
         factors.append(elementary_abelian(2, n))
     if odd_abelian.order > 1:
         factors.append(odd_abelian)
-    name = "Q8" + (f"xZ2^{n}" if n else "") + (
-        f"x{odd_abelian.name}" if odd_abelian.order > 1 else ""
-    )
-    return DirectProductGroup(factors, kind="hamiltonian", name=name)
+    return DirectProductGroup(factors, kind="hamiltonian")
 
 
 def p_group_P(p: int, q: int, n: int) -> PGroupP:

@@ -61,19 +61,11 @@ def test_criterion_02_abelian_formula_vs_oracle_up_to_5000():
 def test_criterion_03_hamiltonian_formula_vs_oracle_up_to_5000():
     """3 * 2^(n+1) * phi(A) equals the enumerated count for every shape."""
     count = 0
-    rank = 0
-    while 8 * 2**rank <= 5000:
-        budget = 5000 // (8 * 2**rank)
-        shapes = [([], fam.cyclic(1))]
-        for a_order, ptype in cf.abelian_types_up_to(budget):
-            if a_order % 2 == 1:
-                shapes.append((ptype, fam.abelian(ptype)))
-        for ptype, a in shapes:
-            group = fam.hamiltonian(rank, a)
-            assert cf.phi_hamiltonian(rank, ptype) == \
-                spectrum_by_enumeration(group).phi(), group.name
-            count += 1
-        rank += 1
+    for rank, ptype in cf.hamiltonian_types_up_to(5000):
+        group = fam.hamiltonian(rank, fam.abelian(ptype) if ptype else fam.cyclic(1))
+        assert cf.phi_hamiltonian(rank, ptype) == \
+            spectrum_by_enumeration(group).phi(), group.name
+        count += 1
     assert count > 100
     announce(3, f"hamiltonian formula = oracle on {count} groups with |G| <= 5000")
 

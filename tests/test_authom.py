@@ -13,7 +13,7 @@ from gentotient import closedforms as cf
 from gentotient import families as fam
 from gentotient import verification
 from gentotient.core import AbelianGroup, Group, ResourceLimitError
-from gentotient.numtheory import euler_phi, is_prime
+from gentotient.numtheory import euler_phi
 
 
 def test_aut_cyclic_is_classical_totient():
@@ -409,10 +409,7 @@ def assert_orbit_product_matches_leaves(group):
     return True
 
 
-P_GROUPS = [fam.p_group_P(p, q, n)
-            for p in range(3, 48) for q in range(2, p)
-            if is_prime(p) and is_prime(q) and (p - 1) % q == 0
-            for n in range(2, 6) if p ** (n - 1) * q <= 48]
+P_GROUPS = [fam.p_group_P(*params) for params in cf.p_group_parameters(48)]
 
 
 def test_aut_count_matches_leaf_count_on_abelian_groups():

@@ -54,7 +54,8 @@ def test_parse_products():
 
 
 def test_parse_errors():
-    for expr in ("", "Zx", "Z6x", "Wat", "MC(4,2)", "Z6xxS3", "Ab(6:1)"):
+    for expr in ("", "Zx", "Z6x", "Wat", "MC(4,2)", "Z6xxS3", "Ab(6:1)",
+                 "MC(4,2", ")(S3", "MC(4x2,1,0,1)"):
         with pytest.raises(cli.ExpressionError):
             cli.parse_group_expression(expr)
 
@@ -448,6 +449,7 @@ def test_malformed_registry_exits_4_naming_the_file(tmp_path, capsys):
      "@q has 2 elements, declared order is 5"),
     ({"type": "cayley-table", "table": [[0, 1], [1, 0]], "order": "abc"},
      "declared order is 'abc'"),
+    ({"type": "permutation-generators", "generators": [[]]}, "zero points"),
 ])
 def test_broken_registry_entry_exits_4_naming_the_file(tmp_path, capsys, entry, problem):
     registry = tmp_path / "registry.json"
@@ -467,6 +469,7 @@ def test_broken_registry_entry_exits_4_naming_the_file(tmp_path, capsys, entry, 
     ({"table": [5]}, "row 0 is 5, not a list"),
     ({"order": 2, "table": [[0]]}, "@bad has 1 elements, declared order is 2"),
     ({"tables": [[0]]}, "expected a table object or a list of image arrays"),
+    ([[]], "generators on zero points; the trivial group is [[0]]"),
 ])
 def test_import_of_a_malformed_file_exits_4_naming_it(tmp_path, capsys, data, problem):
     group_file = tmp_path / "bad.json"
@@ -528,6 +531,11 @@ def test_import_refuses_an_id_that_at_id_cannot_name(tmp_path, capsys, group_id)
 
 # -- module entry point -----------------------------------------------------------
 
+# this checkout's source first, so the module runs installed or not
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+MODULE_ENV = {**os.environ,
+              "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+
 
 @pytest.mark.parametrize("argv, code, output", [
     (["eval", "P(3,2,100000000)", "order"], 3,
@@ -541,7 +549,7 @@ def test_import_refuses_an_id_that_at_id_cannot_name(tmp_path, capsys, group_id)
 ])
 def test_huge_parameters_answer_or_exit_3_at_once(argv, code, output):
     proc = subprocess.run([sys.executable, "-m", "gentotient", *argv],
-                          capture_output=True, text=True, timeout=10)
+                          capture_output=True, text=True, timeout=10, env=MODULE_ENV)
     assert proc.returncode == code
     assert (proc.stderr if code else proc.stdout).startswith(output)
 
@@ -549,7 +557,7 @@ def test_huge_parameters_answer_or_exit_3_at_once(argv, code, output):
 def test_module_invocation_roundtrip():
     proc = subprocess.run(
         [sys.executable, "-m", "gentotient", "eval", "D8", "report"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=MODULE_ENV,
     )
     assert proc.returncode == 0
     assert "phi: 2" in proc.stdout
