@@ -21,7 +21,7 @@ from .closedforms import (
     metacyclic_order_profile,
     p_group_parameters,
 )
-from .core import DirectProductGroup, Group, IntegrityError
+from .core import DirectProductGroup, Group, IntegrityError, spectra_of
 from .numtheory import is_prime
 
 
@@ -174,12 +174,17 @@ def catalog_scan(target: int, order_bound: int) -> list[Group]:
     Returns one representative per (order, spectrum) class, sorted by
     (order, kind, name).  Distinct classes are certainly non-isomorphic;
     groups sharing a fingerprint are collapsed to the first representative.
+    The first scan up to a bound computes every spectrum of
+    scan_families(order_bound) through core.spectra_of, one order-engine pass
+    per bucket of same-order groups of one realization; the spectra stay
+    cached on the groups, and no element-order array is kept.
     """
     if target < 1 or order_bound < 1:
         raise ValueError("target and order_bound must be positive")
+    groups = scan_families(order_bound)
     hits: dict[tuple, Group] = {}
-    for g in scan_families(order_bound):
-        if g.spectrum().phi() == target:
+    for g, spectrum in zip(groups, spectra_of(groups)):
+        if spectrum.phi() == target:
             hits.setdefault(_spectrum_fingerprint(g), g)
     return sorted(hits.values(), key=lambda g: (g.order, g.kind, g.name))
 

@@ -58,28 +58,39 @@ class ExpressionError(ValueError):
 _ID = r"[\w.-]+"  # what @id accepts as an id
 
 
+def _scaled(log10: float) -> int:
+    """A base-10 logarithm as an integer in units of 2^-64.
+
+    A size multiplies it by its parameters exactly, so a parameter beyond
+    float range, as in Z3^(10^400), still gives a digit count.
+    """
+    return round(log10 * 2**64)
+
+
 # One row per form: its pattern; for the forms whose order can outgrow what
-# Python prints, log10 |G| from the matched integers, so that the group is
-# refused before it is built (building Z2^(10^11) alone would exhaust memory);
-# and its constructor.  Ab(...) checks its own size once its body is parsed.
+# Python prints, log10 |G| in units of 2^-64 (see _scaled) from the
+# matched integers, so that the group is refused before it is built (building
+# Z2^(10^11) alone would exhaust memory); and its constructor.  Ab(...) checks
+# its own size once its body is parsed.
 _FACTOR_PATTERNS = [
     (re.compile(r"^M11$"), None, lambda m, reg: families.mathieu11()),
     # a zero base passes the size row, and the constructor rejects it
-    (re.compile(r"^Z(\d+)\^(\d+)$"), lambda b, k: k * math.log10(b) if b else 0,
+    (re.compile(r"^Z(\d+)\^(\d+)$"), lambda b, k: k * _scaled(math.log10(b)) if b else 0,
      lambda m, reg: _power_of_cyclic(int(m[1]), int(m[2]))),
     (re.compile(r"^Z(\d+)$"), None, lambda m, reg: families.cyclic(int(m[1]))),
     (re.compile(r"^D(\d+)$"), None, lambda m, reg: families.dihedral(int(m[1]))),
     (re.compile(r"^Q(\d+)$"), None, lambda m, reg: families.generalized_quaternion(int(m[1]))),
     (re.compile(r"^SD(\d+)$"), None, lambda m, reg: families.quasidihedral(int(m[1]))),
-    (re.compile(r"^S(\d+)$"), lambda n: math.lgamma(n + 1) / math.log(10),
+    (re.compile(r"^S(\d+)$"), lambda n: _scaled(math.lgamma(n + 1) / math.log(10)),
      lambda m, reg: families.symmetric(int(m[1]))),
-    (re.compile(r"^A(\d+)$"), lambda n: (math.lgamma(n + 1) - math.log(2)) / math.log(10),
+    (re.compile(r"^A(\d+)$"),
+     lambda n: _scaled((math.lgamma(n + 1) - math.log(2)) / math.log(10)),
      lambda m, reg: families.alternating(int(m[1]))),
     (re.compile(r"^MC\((\d+),(\d+),(\d+),(\d+)\)$"), None,
      lambda m, reg: families.metacyclic(*map(int, m.groups()))),
     # parameters below 2 pass the size row, and the constructor rejects them
     (re.compile(r"^P\((\d+),(\d+),(\d+)\)$"),
-     lambda p, q, n: (n - 1) * math.log10(max(p, 1)) + math.log10(max(q, 1)),
+     lambda p, q, n: (n - 1) * _scaled(math.log10(p or 1)) + _scaled(math.log10(q or 1)),
      lambda m, reg: families.p_group_P(*map(int, m.groups()))),
     (re.compile(r"^Ab\(([0-9:,;]+)\)$"), None, lambda m, reg: _parse_abelian(m[0], m[1])),
     (re.compile(rf"^@({_ID})$"), None, lambda m, reg: _load_registered(m[1], reg)),
@@ -106,8 +117,8 @@ def _parse_abelian(token: str, body: str) -> Group:
         p_str, exps = chunk.split(":", 1)
         ptype.append((int(p_str), [int(a) for a in exps.split(",")]))
     # only primes count: the constructor rejects any other p, with exit 2
-    log10_order = sum(sum(alphas) * math.log10(p) for p, alphas in ptype if is_prime(p))
-    _require_printable(token, "order", int(log10_order) + 1)
+    scaled = sum(sum(alphas) * _scaled(math.log10(p)) for p, alphas in ptype if is_prime(p))
+    _require_printable(token, "order", (scaled >> 64) + 1)
     return families.abelian(ptype)
 
 
@@ -128,7 +139,7 @@ def parse_group_expression(expr: str, registry_path: Path = None) -> Group:
             if m:
                 try:
                     if log10_order:
-                        digits = int(log10_order(*map(int, m.groups()))) + 1
+                        digits = (log10_order(*map(int, m.groups())) >> 64) + 1
                         _require_printable(token, "order", digits)
                     factors.append(build(m, registry_path))
                 except (ValueError, KeyError, OverflowError) as exc:

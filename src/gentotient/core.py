@@ -16,6 +16,12 @@ exhaustively computed pieces: direct products lcm-convolve their factors' order
 counts and check the result once (abelian groups, the products of their cyclic
 factors of prime-power order, convolve those factors' counts directly), and
 symmetric/alternating groups delegate to the cycle-type engine.
+
+The engine runs over a bucket: k groups of one realization and one order N
+laid out as one index space, in which element i of the g-th group has index
+g*N + i.  A single group is a bucket of one, and ``spectra_of`` buckets the
+groups of a catalog or a sweep so that the engine's fixed cost is paid once
+per bucket rather than once per group.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ PERMUTATION_ENUM_LIMIT = 10  # S_n / A_n element streams only up to here
 PARTITION_ENGINE_LIMIT = 40  # S_n / A_n spectra via cycle types up to here
 CAYLEY_TABLE_LIMIT = 512     # largest index table; validation holds a few n^2 arrays
 ENGINE_CHUNK = 1 << 13       # elements per batch while building power maps
+BUCKET_ELEMENTS = 1 << 16    # most elements spectra_of lays out as one bucket
 
 
 class GroupError(Exception):
@@ -148,10 +155,7 @@ class OrderSpectrum:
             )
 
     def exponent(self) -> int:
-        out = 1
-        for d in self.entries:
-            out = math.lcm(out, d)
-        return out
+        return math.lcm(*self.entries)
 
     def phi(self) -> int:
         """Count of elements whose order equals the exponent (0 if unattained)."""
@@ -217,6 +221,12 @@ class Group:
     kind = "group"
     # set on the instance by index_table(), so untabled groups carry no slot
     _table: Optional[np.ndarray] = None
+    # The order engine sees a group as a bucket of k = 1 groups, whose
+    # elements' identities all have index 0.  A realization with a bucket
+    # law names the class that lays several of its groups out as one bucket.
+    _k = 1
+    _origins = 0
+    _bucket_law: Optional[type] = None
 
     def __init__(self, order: int, name: str, kind: Optional[str] = None):
         self.order = order
@@ -365,52 +375,55 @@ def _concat(batches: list):
     return np.concatenate(batches, axis=-1)
 
 
-def _power_maps(group: Group, primes: list[int]) -> list[np.ndarray]:
-    """Index maps x -> x^p, one per prime, from the batch group law.
+def _power_maps(bucket, primes: list[int]) -> list[np.ndarray]:
+    """Index maps x -> x^p over a bucket, one per prime, from the batch group law.
 
     Elements are decoded a chunk at a time, and every chunk must encode back
-    to its own indices: the indices enumerate exactly |G| distinct elements.
+    to its own indices: the indices enumerate exactly k*N distinct elements.
     """
-    n = group.order
+    n = bucket.order * bucket._k
     maps = np.empty((len(primes), n), _index_dtype(n))
     for lo in range(0, n, ENGINE_CHUNK):
         idx = np.arange(lo, min(n, lo + ENGINE_CHUNK), dtype=maps.dtype)
-        x = group._decode(idx)
+        x = bucket._decode(idx)
         squares = [x]  # x^(2^k), shared by the primes' binary powers
         powers = [x]
         for p in primes:
             acc = None
             for k in range(p.bit_length()):
                 if k == len(squares):
-                    squares.append(group._batch_multiply(squares[-1], squares[-1]))
+                    squares.append(bucket._batch_multiply(squares[-1], squares[-1]))
                 if p >> k & 1:
-                    acc = squares[k] if acc is None else group._batch_multiply(acc, squares[k])
+                    acc = squares[k] if acc is None else bucket._batch_multiply(acc, squares[k])
             powers.append(acc)
         # one encode for the chunk and all its p-th powers
-        codes = group._encode(_concat(powers)).reshape(len(powers), len(idx))
+        codes = bucket._encode(_concat(powers)).reshape(len(powers), len(idx))
         if (codes[0] != idx).any():
             raise IntegrityError(
-                f"the indices of {group.name} do not enumerate its {n} elements"
+                f"the indices of {bucket.name} do not enumerate its {n} elements"
             )
         maps[:, lo:lo + len(idx)] = codes[1:]
     return list(maps)
 
 
-def _element_orders(group: Group) -> np.ndarray:
-    """Order of every element of a group, by index, from its power maps.
+def _element_orders(bucket) -> np.ndarray:
+    """Order of every element of a bucket, by index, from its power maps.
 
-    For each prime p dividing |G| = prod p^a, raising x to |G| / p^a, by
-    gathers through the other primes' power maps, leaves an element whose
-    order is the p-part of o(x); applying the map x -> x^p until the identity
-    (index 0) is reached counts that p-part.  Power maps are the method of
-    Holt, Eick and O'Brien, Handbook of Computational Group Theory (2005),
-    ch. 3.
+    A bucket is a group (k = 1) or k groups of one order N = prod p^a in one
+    index space, where element i of the g-th group has index g*N + i and
+    that group's identity is g*N: the bucket's ``_origins``, 0 for a group.
+    For each prime p, raising x to N / p^a, by gathers through the other
+    primes' power maps, leaves an element whose order is the p-part of o(x);
+    applying the map x -> x^p until the identity is reached counts that
+    p-part.  Power maps are the method of Holt, Eick and O'Brien, Handbook
+    of Computational Group Theory (2005), ch. 3.
     """
-    n = group.order
+    n = bucket.order * bucket._k
     dtype = _index_dtype(n)
-    factors = group.order_factorization()
+    factors = bucket.order_factorization()
     primes = sorted(factors)
-    maps = _power_maps(group, primes)
+    maps = _power_maps(bucket, primes)
+    origins = bucket._origins
     # x -> x^(q^a), which removes the q-part from every element
     kills = [_iterate_map(m, factors[q]) for m, q in zip(maps, primes)]
     orders = np.ones(n, dtype)
@@ -420,14 +433,16 @@ def _element_orders(group: Group) -> np.ndarray:
             y = kill if y is None else kill[y]
         if y is None:
             y = np.arange(n, dtype=dtype)
-        for _ in range(factors[p]):
-            live = y != 0
-            if not live.any():
+        for step in range(factors[p] + 1):
+            live = y != origins
+            # some element has order p (Cauchy), so only later steps can stop
+            if step and not live.any():
                 break
+            if step == factors[p]:
+                raise IntegrityError(
+                    f"x^{bucket.order} is not the identity for some x in {bucket.name}")
             np.multiply(orders, p, out=orders, where=live)
             y = pmap[y]
-        if y.any():
-            raise IntegrityError(f"x^{n} is not the identity for some x in {group.name}")
     orders.flags.writeable = False
     return orders
 
@@ -498,6 +513,60 @@ class CyclicGroup(Group):
         return OrderSpectrum(_cyclic_order_counts(self.n), self.n)
 
 
+def _normal_form_product(x, y, m, n, s, rk):
+    """(b^i a^j)(b^k a^l) = b^(i+k) a^(j r^k + l), reduced by b^n = a^s, for
+    batches x = (i, j, ...) and y = (k, l, ...) of one group each.
+
+    The parameters m, n, s are scalars or one value per element, and rk holds
+    r^k mod m for each element, gathered by the caller from its group's row
+    of a table of powers of r.
+    """
+    t = x[0] + y[0]
+    wrap = t >= n
+    return t - n * wrap, (x[1] * rk + y[1] + s * wrap) % m
+
+
+class _MetacyclicBucket:
+    """k metacyclic groups of one order N as one index space for the order
+    engine: element i of the g-th group has index g*N + i.
+
+    A batch holds the normal forms (i, j) followed by the parameter columns
+    m, n, s of each element's group and its row g in the bucket's table of
+    r^k mod m, so the groups share one normal-form law.
+    """
+
+    def __init__(self, groups: Sequence[MetacyclicGroup]):
+        self.order = n = groups[0].order
+        self._k = k = len(groups)
+        self._factors = groups[0].order_factorization()
+        self.name = f"a bucket of {k} metacyclic groups of order {n}"
+        self._origins = np.arange(0, k * n, n).repeat(n)
+        params = np.array([(g.m, g.n, g.s, g.r) for g in groups], dtype=np.int64).T
+        self._params = params[:3]
+        m, r = params[0], params[3]
+        rpow = np.empty((k, int(params[1].max())), dtype=np.int64)
+        rpow[:, 0] = 1 % m
+        for t in range(1, rpow.shape[1]):
+            rpow[:, t] = rpow[:, t - 1] * r % m
+        self._rpow = rpow
+
+    def order_factorization(self):
+        return self._factors
+
+    def _decode(self, idx):
+        g, local = np.divmod(idx, self.order)
+        m, n, s = self._params[:, g]
+        return (*np.divmod(local, m), m, n, s, g)
+
+    def _encode(self, batch):
+        i, j, m, _, _, g = batch
+        return g * self.order + i * m + j
+
+    def _batch_multiply(self, x, y):
+        _, _, m, n, s, g = x
+        return (*_normal_form_product(x, y, m, n, s, self._rpow[g, y[0]]), m, n, s, g)
+
+
 class MetacyclicGroup(Group):
     """Group <a, b | a^m = 1, b^n = a^s, b^-1 a b = a^r> in normal form.
 
@@ -508,6 +577,7 @@ class MetacyclicGroup(Group):
     """
 
     kind = "metacyclic"
+    _bucket_law = _MetacyclicBucket
 
     def __init__(self, m: int, n: int, s: int, r: int, kind=None, name=None):
         m, n, s, r = metacyclic_parameters(m, n, s, r)
@@ -563,11 +633,8 @@ class MetacyclicGroup(Group):
         return i * self.m + j
 
     def _batch_multiply(self, x, y):
-        (i, j), (k, l) = x, y
-        t = i + k
-        wrap = t >= self.n
-        rk = self._powers_of_r()[1][k]
-        return t - self.n * wrap, (j * rk + l + self.s * wrap) % self.m
+        rk = self._powers_of_r()[1][y[0]]
+        return _normal_form_product(x, y, self.m, self.n, self.s, rk)
 
     def _unpack(self, batch):
         return list(zip(batch[0].tolist(), batch[1].tolist()))
@@ -1229,6 +1296,48 @@ def spectrum_by_enumeration(group: Group) -> OrderSpectrum:
     uses the group law alone and never consults structural shortcuts.
     """
     return OrderSpectrum(_count_orders(group.element_orders()), group.order)
+
+
+def spectra_of(groups: Iterable[Group]) -> list[OrderSpectrum]:
+    """The spectra of the given groups, enumerated a bucket at a time.
+
+    The groups whose spectrum comes from the order engine and is not cached
+    yet, direct-product factors included, are bucketed by realization and
+    order.  A bucket of k groups of order N is one index space (element i of
+    the g-th group has index g*N + i, at most BUCKET_ELEMENTS in all), so the
+    engine builds its power maps and element orders in one pass, and one
+    bincount over g*(N + 1) + order gives all k spectra.  Each is set on its
+    group through the usual OrderSpectrum check, and no order array is kept.
+    A realization without a bucket law runs the same engine with k = 1.
+    """
+    groups = list(groups)
+    buckets: dict[tuple, dict[int, Group]] = {}
+    pending = [g for g in groups if g._spectrum is None]
+    for g in pending:  # grows by the factors of direct products
+        if isinstance(g, DirectProductGroup):
+            pending.extend(f for f in g.factors if f._spectrum is None)
+        # spectra from the engine, unless spectrum() can count cached orders
+        elif g._orders is None and type(g)._compute_spectrum is Group._compute_spectrum:
+            buckets.setdefault((type(g), g.order), {})[id(g)] = g
+    for (cls, n), members in buckets.items():
+        members = list(members.values())
+        members[0].require_enumerable()  # the cap reads the order alone
+        law = cls._bucket_law
+        size = max(1, BUCKET_ELEMENTS // n) if law else 1
+        for lo in range(0, len(members), size):
+            part = members[lo:lo + size]
+            k = len(part)
+            orders = _element_orders(law(part) if k > 1 else part[0])
+            keys = orders + np.arange(0, k * (n + 1), n + 1).repeat(n)
+            counts = np.bincount(keys, minlength=k * (n + 1)).reshape(k, n + 1)
+            rows, ds = counts.nonzero()
+            ends = np.bincount(rows, minlength=k).cumsum().tolist()
+            ds, cs = ds.tolist(), counts[rows, ds].tolist()
+            start = 0
+            for g, end in zip(part, ends):
+                g._spectrum = OrderSpectrum(dict(zip(ds[start:end], cs[start:end])), n)
+                start = end
+    return [g.spectrum() for g in groups]
 
 
 def exponent(group: Group) -> int:

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import authom, classc, closedforms as cf, families
-from .core import ResourceLimitError, commuting_witness, phi, spectrum_by_enumeration
+from .core import ResourceLimitError, commuting_witness, phi, spectra_of, spectrum_by_enumeration
 from .numtheory import euler_phi, factorize
 
 
@@ -147,9 +147,8 @@ def suite_abelian() -> list[ReportRow]:
 def dihedral_sweep(max_n: int) -> list[Mismatch]:
     """phi and exp of D_2n by formula against the oracle, 2 <= n <= max_n."""
     failures: list[Mismatch] = []
-    for n in range(2, max_n + 1):
-        g = families.dihedral(2 * n)
-        spec = spectrum_by_enumeration(g)
+    groups = [families.dihedral(2 * n) for n in range(2, max_n + 1)]
+    for n, g, spec in zip(range(2, max_n + 1), groups, spectra_of(groups)):
         _compare(failures, "phi", g.name, cf.phi_dihedral(n), spec.phi())
         _compare(failures, "exp", g.name, cf.exp_dihedral(n), spec.exponent())
     return failures
@@ -180,9 +179,9 @@ def metacyclic_sweep(max_m: int, max_n: int) -> list[Mismatch]:
     r = m - 1) attainment exactly when m is even.
     """
     failures: list[Mismatch] = []
-    for params in cf.valid_metacyclic_presentations(max_m, max_n):
-        g = families.metacyclic(*params)
-        spec = spectrum_by_enumeration(g)
+    presentations = list(cf.valid_metacyclic_presentations(max_m, max_n))
+    groups = [families.metacyclic(*params) for params in presentations]
+    for params, g, spec in zip(presentations, groups, spectra_of(groups)):
         attained = spec.phi() != 0
         _compare(failures, "exponent", g.name, cf.metacyclic_exponent(*params), spec.exponent())
         _compare(failures, "profile", g.name, cf.metacyclic_order_profile(*params),

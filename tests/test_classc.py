@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 import gentotient as gt
-from gentotient import classc, verification
+from gentotient import classc, core, verification
 from gentotient import families as fam
 from gentotient.core import spectrum_by_enumeration
 
@@ -160,10 +160,19 @@ def test_scan_families_contents_and_order_are_pinned():
     assert len(groups) == 38187
     digest = hashlib.sha256("|".join(g.name for g in groups).encode()).hexdigest()
     assert digest == "49acddfef020b256e8384becadced0db60ca56d1e4eadb2ecf0350f4ccbd4716"
+    # every spectrum, batched as catalog_scan computes them, against a digest
+    # of the spectra that the engine gave one group at a time
+    spectra = core.spectra_of(groups)
+    text = "|".join(f"{g.name}:{sorted(spec.entries.items())}" for g, spec in zip(groups, spectra))
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "bafdc90f040044652c1489955f12fd5d45cdf85393878ce3e45627962fc2cc48"
 
 
 def test_catalog_groups_keep_no_index_table():
     classc.catalog_scan(2, 64)
+    # the scan's spectra come from buckets, which keep no order arrays
+    for g in classc.scan_families(64):
+        assert g._orders is None, g.name
     verification.class_c_sweep(100)
     for g in classc.scan_families(64) + classc.standard_catalog(100):
         assert g._table is None, g.name

@@ -546,6 +546,11 @@ MODULE_ENV = {**os.environ,
     (["eval", "Z1000000016000000063^2", "order"], 3,
      "error: cannot factorize 1000000016000000063: it is composite"),
     (["solve", "1000000000000000003"], 0, "phi(G) = 1000000000000000003 has no solutions\n"),
+    # exponents beyond float range: the digit count is an integer product
+    (["eval", f"Z1^1{'0' * 400}", "order"], 0, "1\n"),
+    (["eval", f"Z3^1{'0' * 400}", "order"], 3, f"error: the order of Z3^1{'0' * 400} has "),
+    (["eval", f"P(3,2,1{'0' * 400})", "order"], 3,
+     f"error: the order of P(3,2,1{'0' * 400}) has "),
 ])
 def test_huge_parameters_answer_or_exit_3_at_once(argv, code, output):
     proc = subprocess.run([sys.executable, "-m", "gentotient", *argv],

@@ -15,7 +15,9 @@ from gentotient.core import (
     CayleyTableGroup,
     Group,
     IntegrityError,
+    MetacyclicGroup,
     PermutationClosureGroup,
+    spectra_of,
     spectrum_by_enumeration,
 )
 
@@ -24,6 +26,25 @@ P_PARAMS = [(p, q, n) for p in (3, 5, 7, 11, 13) for q in (2, 3, 5)
             for n in (2, 3, 4) if (p - 1) % q == 0 and p ** (n - 1) * q <= 1000]
 TABLE_SOURCES = list(standard_catalog(64))
 D8_GENERATORS = [(1, 2, 3, 0), (3, 2, 1, 0)]
+
+
+PRESENTATIONS_24 = list(cf.valid_metacyclic_presentations(24, 24))
+
+
+def same_order_metacyclic(order):
+    """Every presentation of the given order with m, n <= 24, as fresh groups,
+    with the dihedral, quaternion and quasidihedral groups of that order."""
+    groups = [fam.metacyclic(*p) for p in PRESENTATIONS_24 if p[0] * p[1] == order]
+    if order % 2 == 0 and order >= 4:
+        groups.append(fam.dihedral(order))
+    if order & (order - 1) == 0 and order >= 8:
+        groups.append(fam.generalized_quaternion(order))
+    if order & (order - 1) == 0 and order >= 16:
+        groups.append(fam.quasidihedral(order))
+    return groups
+
+
+BUCKET_ORDERS = [n for n in range(2, 65) if len(same_order_metacyclic(n)) >= 3]
 
 
 def assert_engine_matches_payloads(group):
@@ -171,6 +192,57 @@ def test_engine_refuses_a_broken_index_map():
         Broken(6).element_orders()
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(BUCKET_ORDERS), st.data())
+def test_bucket_orders_equal_each_groups_own(order, data):
+    """A bucket of same-order groups gives each group its k = 1 orders."""
+    everyone = same_order_metacyclic(order)
+    picks = data.draw(st.lists(st.integers(0, len(everyone) - 1), min_size=2, max_size=12,
+                               unique=True))
+    groups = [everyone[i] for i in picks]
+    orders = core._element_orders(core._MetacyclicBucket(groups))
+    assert len(orders) == order * len(groups)
+    for g, own in zip(groups, orders.reshape(len(groups), order)):
+        assert own.tolist() == g.element_orders().tolist(), g.name
+        for i in data.draw(st.lists(st.integers(0, order - 1), min_size=1, max_size=4)):
+            assert own[i] == Group.element_order(g, g.payloads([i])[0]), (g.name, i)
+
+
+def test_spectra_of_covers_factors_and_realizations_without_a_bucket_law():
+    d8, q8 = fam.dihedral(8), fam.generalized_quaternion(8)
+    p_group = fam.p_group_P(7, 3, 2)
+    product = fam.direct_product([fam.cyclic(3), d8])
+    groups = [product, p_group, q8, fam.symmetric(4), fam.cyclic(12)]
+    spectra = spectra_of(groups)
+    assert d8._spectrum is not None and d8._orders is None  # a factor, bucketed with Q8
+    assert all(g._orders is None for g in (q8, p_group, product))
+    references = [fam.direct_product([fam.cyclic(3), fam.dihedral(8)]),
+                  fam.p_group_P(7, 3, 2), fam.generalized_quaternion(8), fam.symmetric(4),
+                  fam.cyclic(12)]
+    assert [s.entries for s in spectra] == [g.spectrum().entries for g in references]
+    assert spectra_of(groups) == spectra  # cached: nothing is computed again
+
+
+class _UnroundedBucket(core._MetacyclicBucket):
+    """Encodes each element within its own group only, so indices do not round-trip."""
+
+    def _encode(self, batch):
+        return super()._encode(batch) % self.order
+
+
+class _UnroundedMetacyclic(MetacyclicGroup):
+    _bucket_law = _UnroundedBucket
+
+
+def test_engine_refuses_a_bucket_whose_index_map_does_not_round_trip():
+    with pytest.raises(IntegrityError, match="^the indices of a bucket of 2 metacyclic groups"):
+        core._element_orders(_UnroundedBucket([fam.dihedral(8), fam.generalized_quaternion(8)]))
+    groups = [_UnroundedMetacyclic(4, 2, 0, 3), _UnroundedMetacyclic(4, 2, 2, 3)]
+    with pytest.raises(IntegrityError, match="do not enumerate its 16 elements"):
+        spectra_of(groups)
+    assert all(g._spectrum is None for g in groups)
+
+
 def test_element_orders_are_cached_and_read_only():
     g = fam.dihedral(12)
     orders = g.element_orders()
@@ -180,10 +252,9 @@ def test_element_orders_are_cached_and_read_only():
         orders[0] = 5
 
 
-def test_oracle_never_calls_closed_forms(monkeypatch):
-    """spectrum_by_enumeration works with every closedforms function refusing."""
+def fresh_groups():
     table_source = fam.generalized_quaternion(16)
-    groups = {
+    return {
         "cyclic": fam.cyclic(12),
         "abelian": fam.abelian([(2, [1, 2]), (3, [1])]),
         "metacyclic": fam.metacyclic(8, 4, 2, 5),
@@ -195,6 +266,26 @@ def test_oracle_never_calls_closed_forms(monkeypatch):
         "cayley-table": CayleyTableGroup(
             relabeled_table(table_source, list(range(table_source.order)))),
     }
+
+
+def test_oracle_never_calls_closed_forms(monkeypatch):
+    """spectrum_by_enumeration and spectra_of work with every closedforms function refusing."""
+    groups = fresh_groups()
+    # The batch entry's input: fresh groups, less those whose spectrum() takes
+    # cycle types by design (Z6xS3 through its factor S3), then every group of
+    # order 32 and a product with one of them as a factor.  The references
+    # are the per-group spectra of equal groups.
+    batched = {kind: group for kind, group in fresh_groups().items()
+               if kind not in ("symmetric", "alternating", "direct-product")}
+
+    def order_32():
+        return same_order_metacyclic(32) + [fam.direct_product([fam.cyclic(3), fam.dihedral(32)])]
+
+    bucket = order_32()
+    assert {g.kind for g in bucket[:-1]} == {"metacyclic", "dihedral", "generalized-quaternion",
+                                             "quasidihedral"}
+    assert any(g.s for g in bucket[:-1] if g.kind == "metacyclic")
+    bucket_references = [spectrum_by_enumeration(g) for g in order_32()]
     # references from the structural routes and formulas, taken before the patch
     expected = {
         "cyclic": {1: 1, 2: 1, 3: 2, 4: 2, 6: 2, 12: 4},
@@ -223,4 +314,9 @@ def test_oracle_never_calls_closed_forms(monkeypatch):
     assert patched > 10
     for kind, group in groups.items():
         assert dict(spectrum_by_enumeration(group).entries) == dict(expected[kind]), kind
+    spectra = spectra_of([*batched.values(), *bucket])
+    for kind, spectrum in zip(batched, spectra):
+        assert dict(spectrum.entries) == dict(expected[kind]), kind
+    assert spectra[len(batched):] == bucket_references
+    assert all(g._orders is None for g in [*batched.values(), *bucket])
     assert calls == []
