@@ -53,7 +53,14 @@ def metacyclic_in_c(m: int, n: int, s: int, r: int) -> bool:
     presentations where an element outside <a> attains the exponent; see
     metacyclic_divisibility_criterion.
     """
-    profile = metacyclic_order_profile(m, n, s, r)
+    return attains_exponent(metacyclic_order_profile(m, n, s, r))
+
+
+def attains_exponent(profile) -> bool:
+    """True when a profile (order -> element count) holds its own exponent.
+
+    The exponent is the lcm of the element orders.
+    """
     return math.lcm(*profile) in profile
 
 

@@ -67,6 +67,19 @@ def _scaled(log10: float) -> int:
     return round(log10 * 2**64)
 
 
+def _scaled_log10_factorial(n: int, divisor: int) -> int:
+    """log10(n! / divisor) in the units of _scaled.
+
+    From lgamma while its result fits a float; beyond that, from the integer
+    lower bound (n // 2)^(n // 2) <= n!, whose digit count is still far
+    beyond anything Python prints.
+    """
+    try:
+        return _scaled((math.lgamma(n + 1) - math.log(divisor)) / math.log(10))
+    except OverflowError:
+        return (n // 2) * _scaled(math.log10(n // 2)) - _scaled(math.log10(divisor))
+
+
 # One row per form: its pattern; for the forms whose order can outgrow what
 # Python prints, log10 |G| in units of 2^-64 (see _scaled) from the
 # matched integers, so that the group is refused before it is built (building
@@ -81,10 +94,9 @@ _FACTOR_PATTERNS = [
     (re.compile(r"^D(\d+)$"), None, lambda m, reg: families.dihedral(int(m[1]))),
     (re.compile(r"^Q(\d+)$"), None, lambda m, reg: families.generalized_quaternion(int(m[1]))),
     (re.compile(r"^SD(\d+)$"), None, lambda m, reg: families.quasidihedral(int(m[1]))),
-    (re.compile(r"^S(\d+)$"), lambda n: _scaled(math.lgamma(n + 1) / math.log(10)),
+    (re.compile(r"^S(\d+)$"), lambda n: _scaled_log10_factorial(n, 1),
      lambda m, reg: families.symmetric(int(m[1]))),
-    (re.compile(r"^A(\d+)$"),
-     lambda n: _scaled((math.lgamma(n + 1) - math.log(2)) / math.log(10)),
+    (re.compile(r"^A(\d+)$"), lambda n: _scaled_log10_factorial(n, 2),
      lambda m, reg: families.alternating(int(m[1]))),
     (re.compile(r"^MC\((\d+),(\d+),(\d+),(\d+)\)$"), None,
      lambda m, reg: families.metacyclic(*map(int, m.groups()))),

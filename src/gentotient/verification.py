@@ -184,9 +184,10 @@ def metacyclic_sweep(max_m: int, max_n: int) -> list[Mismatch]:
     for params, g, spec in zip(presentations, groups, spectra_of(groups)):
         attained = spec.phi() != 0
         _compare(failures, "exponent", g.name, cf.metacyclic_exponent(*params), spec.exponent())
-        _compare(failures, "profile", g.name, cf.metacyclic_order_profile(*params),
-                 dict(spec.entries))
-        _compare(failures, "attainment", g.name, classc.metacyclic_in_c(*params), attained)
+        profile = cf.metacyclic_order_profile(*params)
+        _compare(failures, "profile", g.name, profile, dict(spec.entries))
+        # metacyclic_in_c on this presentation, without a second profile
+        _compare(failures, "attainment", g.name, classc.attains_exponent(profile), attained)
         if cf.metacyclic_divisibility_criterion(*params):
             _compare(failures, "divisibility", g.name, True, attained)
         m, n, s, r = params

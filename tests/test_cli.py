@@ -139,6 +139,22 @@ def test_eval_order_too_long_to_print_exits_3_naming_it(capsys, expr, digits, fm
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                     reason="this Python prints integers of any length")
+@pytest.mark.parametrize("form, quantity", [("S", "order"), ("A", "phi"), ("A", "spectrum")])
+@pytest.mark.parametrize("n", [10**290, 10**306, 10**400])
+def test_factorial_orders_beyond_float_range_exit_3(capsys, form, quantity, n):
+    # lgamma(n + 1) overflows a float here; the digit count needs no float
+    expr = f"{form}{n}"
+    code, out, err = run_cli(capsys, "eval", expr, quantity)
+    assert (code, out) == (cli.EXIT_RESOURCE, "")
+    head, tail = f"error: the order of {expr} has ", " decimal digits; at most "
+    assert err.startswith(head) and err.endswith(f"{sys.get_int_max_str_digits()} can be printed\n")
+    digits = int(err[len(head):err.index(tail)])
+    # between those of (n/2)^(n/2) and n^n
+    assert (n // 2) * (len(str(n // 2)) - 1) <= digits <= n * len(str(n))
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python prints integers of any length")
 def test_eval_refuses_any_quantity_too_long_to_print(capsys):
     expr = "x".join(["Z7"] * 800)  # phi = 7^800 - 1 has 677 digits
     limit = sys.get_int_max_str_digits()

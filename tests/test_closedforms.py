@@ -6,7 +6,7 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import gentotient as gt
@@ -15,7 +15,7 @@ from gentotient import closedforms as cf
 from gentotient import families as fam
 from gentotient import verification
 from gentotient.core import PARTITION_ENGINE_LIMIT, ResourceLimitError, spectrum_by_enumeration
-from gentotient.numtheory import decimal_digits, euler_phi
+from gentotient.numtheory import decimal_digits, euler_phi, factorize
 
 
 # -- classical totient --------------------------------------------------------
@@ -290,6 +290,86 @@ def test_valid_presentation_generator():
         math.gcd(m, r) == 1 and pow(r, n, m) == 1 % m and (s * (r - 1)) % m == 0
         for m, n, s, r in presentations
     )
+
+
+def walk_profile(m, n, s, r):
+    """Reference: the order of every normal form b^i a^j, all m*n of them."""
+    counts = Counter()
+    for i in range(n):
+        u = n // math.gcd(i, n)
+        q = i // math.gcd(i, n)
+        geometric = sum(pow(r, i * k, m) for k in range(u)) % m
+        for j in range(m):
+            counts[u * (m // math.gcd(m, (s * q + j * geometric) % m))] += 1
+    return dict(counts)
+
+
+def test_profile_matches_the_walk_on_every_small_presentation():
+    presentations = list(cf.valid_metacyclic_presentations(40, 12))
+    assert len(presentations) == 13148
+    assert [p for p in presentations if cf.metacyclic_order_profile(*p) != walk_profile(*p)] == []
+
+
+@pytest.mark.parametrize("params", [(10009, 1, 0, 1), (30021, 2, 0, 30020), (1000, 10, 0, 1)])
+def test_profile_matches_the_walk_at_large_m(params):
+    assert cf.metacyclic_order_profile(*params) == walk_profile(*params)
+
+
+@st.composite
+def presentations_up_to_200(draw):
+    m = draw(st.integers(1, 200))
+    return draw(st.sampled_from(list(cf._metacyclic_presentations_of(m, 16))))
+
+
+@seed(23)
+@settings(max_examples=60, deadline=None)
+@given(presentations_up_to_200())
+def test_profile_matches_the_walk_property(params):
+    assert cf.metacyclic_order_profile(*params) == walk_profile(*params)
+
+
+def mobius(f):
+    exponents = factorize(f).values()
+    return 0 if any(a > 1 for a in exponents) else (-1) ** len(exponents)
+
+
+def test_residue_histogram_is_the_mobius_count():
+    # residues w = c (mod g) in [0, m) with gcd(w, m) = e, for every g | m
+    for m in range(1, 61):
+        for g in (g for g in range(1, m + 1) if m % g == 0):
+            for c in range(g):
+                want = {}
+                for e in (e for e in range(1, m + 1) if m % e == 0):
+                    count = sum(mobius(f) * m // math.lcm(g, e * f)
+                                for f in range(1, m // e + 1)
+                                if (m // e) % f == 0 and c % math.gcd(g, e * f) == 0)
+                    if count:
+                        want[m // e] = count
+                assert dict(cf._residue_orders(m, g, c)) == want
+
+
+def test_residue_memo_is_bounded_and_profiles_are_fresh():
+    assert 0 < cf._residue_orders.cache_info().maxsize < 10**6
+    assert isinstance(cf._residue_orders(8, 2, 1), tuple)
+    profile = cf.metacyclic_order_profile(8, 4, 2, 5)
+    want = dict(profile)
+    profile[16] += 1
+    profile[3] = 1
+    assert cf.metacyclic_order_profile(8, 4, 2, 5) == want == walk_profile(8, 4, 2, 5)
+
+
+def test_metacyclic_sweep_computes_one_profile_per_presentation(monkeypatch):
+    calls = []
+
+    def counted(*params):
+        calls.append(params)
+        return profile(*params)
+
+    profile = cf.metacyclic_order_profile
+    monkeypatch.setattr(cf, "metacyclic_order_profile", counted)
+    monkeypatch.setattr(classc, "metacyclic_order_profile", counted)
+    assert verification.metacyclic_sweep(12, 6) == []
+    assert calls == list(cf.valid_metacyclic_presentations(12, 6))
 
 
 def test_abelian_types_up_to():
