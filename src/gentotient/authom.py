@@ -9,8 +9,11 @@ finite abelian A, so |Hom(G, Z_k)| = #{x in G : x^k in G'} / |G'|; an
 abelian source reads it from its order array, any other source from its
 ``Group.index_table()``, its derived subgroup G' and its k-th power map
 (Holt, Eick & O'Brien, Handbook of Computational Group Theory, 2005, chs.
-3-4).  The orders are group-law data from the power maps, never
-``closedforms``, and each group builds its table once and caches it.
+3-4).  Whether a side is cyclic is ``Group.is_cyclic()``, which each
+realization answers from its own structure (a nonabelian group is never
+cyclic), so the order engine runs only on the side whose orders are counted.
+The orders are group-law data from the power maps, never ``closedforms``,
+and each group builds its table once and caches it.
 
 Otherwise both counters backtrack over candidate images of a greedily chosen
 generating set.  Each partial assignment is extended to the generated
@@ -51,11 +54,6 @@ def _require_searchable(group: Group) -> None:
     if group.order > AUT_ORDER_CAP:
         raise ResourceLimitError(f"|{group.name}| = {size_text(group.order)} exceeds "
                                  f"the search cap of {AUT_ORDER_CAP}")
-
-
-def _is_cyclic(group: Group) -> bool:
-    """Whether the group's element orders reach its order."""
-    return bool(group.element_orders().max() == group.order)
 
 
 def _derived_subgroup(table: np.ndarray) -> np.ndarray:
@@ -318,8 +316,8 @@ def aut_count(group: Group) -> int:
 
     Abelian groups of multi-prime order factor as a direct product of their
     coprime primary parts, and automorphisms respect that splitting, so each
-    part is counted separately.  A cyclic group Z_n (one whose element
-    orders reach n) needs no table and no search: an automorphism sends a
+    part is counted separately.  A cyclic group Z_n (``is_cyclic()``, in
+    any realization) needs no table and no search: an automorphism sends a
     generator to a generator, and any generator is a valid image, so
     |Aut Z_n| = #{x : o(x) = n}.
     """
@@ -330,7 +328,7 @@ def aut_count(group: Group) -> int:
         return out
     _require_searchable(group)
     orders = group.element_orders()
-    if _is_cyclic(group):
+    if group.is_cyclic():
         return int(np.count_nonzero(orders == group.order))
     mat = MaterializedGroup(group)
     gens = _capped_generators(mat, "automorphism")
@@ -343,25 +341,27 @@ def hom_count(source: Group, target: Group) -> int:
     """Number of multiplication-preserving maps source -> target.
 
     Both groups must be within the order cap, source checked first.  When
-    one side is cyclic there is no search.  Into a cyclic target Z_k (one
-    whose element orders reach k), an abelian source counts its elements
-    whose order divides k; any other source counts the x with x^k in its
-    derived subgroup G' and divides by |G'|, from its own index table.  A
-    cyclic source Z_m counts the target elements whose order divides m.
-    Between two noncyclic groups the count backtracks over images of the
-    source's greedy generators, one search leaf per homomorphism.
+    one side is cyclic there is no search.  ``Group.is_cyclic()`` decides
+    that from the realization, and builds no order array for a nonabelian
+    group, so only the side whose orders are counted runs the order engine.
+    Into a cyclic target Z_k, an abelian source counts its elements whose
+    order divides k; any other source counts the x with x^k in its derived
+    subgroup G' and divides by |G'|, from its own index table.  A cyclic
+    source Z_m counts the target elements whose order divides m.  Between
+    two noncyclic groups the count backtracks over images of the source's
+    greedy generators, one search leaf per homomorphism.
     """
     _require_searchable(source)
     _require_searchable(target)
     k = target.order
-    if _is_cyclic(target):
+    if target.is_cyclic():
         if source.is_abelian():
             return int(np.count_nonzero(k % source.element_orders() == 0))
         table = source.index_table()
         in_derived = _derived_subgroup(table)
         return int(np.count_nonzero(in_derived[_power_map(table, k)])
                    // np.count_nonzero(in_derived))
-    if _is_cyclic(source):
+    if source.is_cyclic():
         return int(np.count_nonzero(source.order % target.element_orders() == 0))
     src = MaterializedGroup(source)
     dst = MaterializedGroup(target)
@@ -385,10 +385,11 @@ def aut_product_formula(g1: Group, g2: Group) -> int:
     """|Aut(G1 x G2)| = |Aut(G1)| * |Aut(G2)| * |Hom(G2, G1)|.
 
     Requires G1 cyclic and G2 with trivial center; both hypotheses are
-    checked (G1 from its element orders, the center from the index table).
+    checked (G1 by ``Group.is_cyclic()``, so any realization of Z_m
+    qualifies; the center from the index table).
     """
     _require_searchable(g1)
-    if not _is_cyclic(g1):
+    if not g1.is_cyclic():
         raise ValueError(f"first factor must be cyclic, got {g1.name}")
     if center_size(g2) != 1:
         raise ValueError(

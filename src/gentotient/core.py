@@ -253,6 +253,11 @@ class Group:
     def is_abelian(self) -> bool:
         raise NotImplementedError
 
+    def is_cyclic(self) -> bool:
+        """Whether some element's order reaches |G|.  A nonabelian group is
+        never cyclic, so only an abelian one runs the order engine."""
+        return self.is_abelian() and bool(self.element_orders().max() == self.order)
+
     def order_factorization(self) -> dict[int, int]:
         return factorize(self.order)
 
@@ -506,6 +511,9 @@ class CyclicGroup(Group):
         return self.n // math.gcd(x, self.n)
 
     def is_abelian(self):
+        return True
+
+    def is_cyclic(self):
         return True
 
     def _compute_spectrum(self):
@@ -1114,6 +1122,10 @@ class AbelianGroup(DirectProductGroup):
 
     def order_factorization(self):
         return {p: sum(alphas) for p, alphas in self.primary_type}
+
+    def is_cyclic(self):
+        # Z_(p^a) x Z_(p^b) has exponent p^max(a, b) < p^(a+b)
+        return all(len(alphas) == 1 for _, alphas in self.primary_type)
 
     def _compute_spectrum(self):
         # the cyclic factors' order counts, each evaluated on every residue,

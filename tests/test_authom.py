@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gentotient import authom
+from gentotient import authom, core
 from gentotient import closedforms as cf
 from gentotient import families as fam
 from gentotient import verification
@@ -209,11 +209,40 @@ def test_hom_refuses_over_cap_before_any_order_array(monkeypatch):
     monkeypatch.setattr(Group, "element_orders", no_orders)
     cases = [((fam.cyclic(7), fam.cyclic(500)), "|Z500| = 500 exceeds the search cap of 256"),
              ((fam.cyclic(300), fam.symmetric(3)), "|Z300| = 300 exceeds the search cap of 256"),
-             ((fam.cyclic(300), fam.cyclic(500)), "|Z300| = 300 exceeds the search cap of 256")]
+             ((fam.cyclic(300), fam.cyclic(500)), "|Z300| = 300 exceeds the search cap of 256"),
+             ((fam.symmetric(3), fam.dihedral(600)), "|D600| = 600 exceeds the search cap of 256"),
+             # abelian but not an AbelianGroup: is_cyclic() would need its orders
+             ((fam.symmetric(3), fam.direct_product([fam.cyclic(2), fam.cyclic(256)])),
+              "|Z2xZ256| = 512 exceeds the search cap of 256")]
     for (source, target), message in cases:
         with pytest.raises(ResourceLimitError) as refused:
             authom.hom_count(source, target)
         assert str(refused.value) == message
+
+
+def test_order_engine_runs_only_on_the_counted_side(monkeypatch):
+    runs = []
+    element_orders = core._element_orders
+
+    def counted(group):
+        runs.append(group.name)
+        return element_orders(group)
+
+    monkeypatch.setattr(core, "_element_orders", counted)
+    z30 = fam.cyclic(30)
+    cases = [
+        (lambda: authom.hom_count(fam.cyclic(30), fam.dihedral(20)), 20, ["D20"]),
+        (lambda: authom.hom_count(fam.symmetric(4), z30), 2, []),
+        (lambda: authom.hom_count(fam.abelian([(2, [1, 2]), (3, [1])]), z30), 12,
+         ["Z2xZ4xZ3"]),
+        # Z8 as a metacyclic presentation runs the engine to learn it is cyclic
+        (lambda: authom.hom_count(fam.metacyclic(4, 2, 1, 1), fam.generalized_quaternion(16)),
+         16, ["MC(4,2,1,1)", "Q16"]),
+        (lambda: authom.aut_count(fam.cyclic(12)), 4, ["Z12"]),
+    ]
+    for call, value, engine_runs in cases:
+        runs.clear()
+        assert (call(), runs) == (value, engine_runs)
 
 
 def test_aut_product_formula():
@@ -249,7 +278,7 @@ def test_aut_product_formula_preconditions():
 
 def test_aut_product_formula_takes_any_cyclic_first_factor():
     # Z4xZ3 and MC(12,1,0,1) are Z12 realized as an abelian product and as a
-    # metacyclic presentation; cyclicity is read from the element orders
+    # metacyclic presentation; Group.is_cyclic() decides that G1 is cyclic
     s3 = fam.symmetric(3)
     for g1 in (fam.abelian([(2, [2]), (3, [1])]), fam.metacyclic(12, 1, 0, 1)):
         expected = authom.aut_count(fam.direct_product([g1, s3]))

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gentotient as gt
+from gentotient import classc
 from gentotient import closedforms as cf
 from gentotient import families as fam
 from gentotient.core import (
@@ -15,6 +16,7 @@ from gentotient.core import (
     Group,
     IntegrityError,
     OrderSpectrum,
+    PermutationClosureGroup,
     RealizationError,
     ResourceLimitError,
     spectrum_by_enumeration,
@@ -414,6 +416,31 @@ def test_cayley_table_group_roundtrip():
     group = CayleyTableGroup(q8_table(), name="q8-table")
     assert group.spectrum().entries == {1: 1, 2: 1, 4: 6}
     assert not group.is_abelian()
+
+
+def _engine_says_cyclic(group):
+    return bool(group.element_orders().max() == group.order)
+
+
+def test_is_cyclic_agrees_with_the_order_engine():
+    z4 = fam.cyclic(4)
+    cases = [
+        (fam.cyclic(1), True), (fam.symmetric(1), True), (fam.symmetric(2), True),
+        (fam.alternating(3), True),
+        (fam.abelian([(2, [1]), (3, [1])]), True), (fam.abelian([(2, [1, 1])]), False),
+        # Z12 and Z8 as metacyclic presentations, Z12 as a raw product
+        (fam.metacyclic(12, 1, 0, 1), True), (fam.metacyclic(4, 2, 1, 1), True),
+        (fam.direct_product([z4, fam.cyclic(3)]), True),
+        (fam.direct_product([fam.cyclic(2), fam.symmetric(3)]), False),
+        (CayleyTableGroup(z4.index_table().tolist()), True),
+        (CayleyTableGroup(fam.elementary_abelian(2, 2).index_table().tolist()), False),
+        (PermutationClosureGroup([(1, 2, 3, 4, 0)]), True),
+    ]
+    for group, cyclic in cases:
+        assert group.is_cyclic() is cyclic == _engine_says_cyclic(group), group.name
+    # fresh groups: the cached scan's groups must keep no order arrays
+    for group in classc.scan_families.__wrapped__(64):
+        assert group.is_cyclic() == _engine_says_cyclic(group), group.name
 
 
 def test_cayley_table_rejects_broken_latin_square():
