@@ -1123,10 +1123,6 @@ class AbelianGroup(DirectProductGroup):
     def order_factorization(self):
         return {p: sum(alphas) for p, alphas in self.primary_type}
 
-    def is_cyclic(self):
-        # Z_(p^a) x Z_(p^b) has exponent p^max(a, b) < p^(a+b)
-        return all(len(alphas) == 1 for _, alphas in self.primary_type)
-
     def _compute_spectrum(self):
         # the cyclic factors' order counts, each evaluated on every residue,
         # without a checked spectrum per factor

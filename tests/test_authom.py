@@ -211,7 +211,7 @@ def test_hom_refuses_over_cap_before_any_order_array(monkeypatch):
              ((fam.cyclic(300), fam.symmetric(3)), "|Z300| = 300 exceeds the search cap of 256"),
              ((fam.cyclic(300), fam.cyclic(500)), "|Z300| = 300 exceeds the search cap of 256"),
              ((fam.symmetric(3), fam.dihedral(600)), "|D600| = 600 exceeds the search cap of 256"),
-             # abelian but not an AbelianGroup: is_cyclic() would need its orders
+             # abelian and not a CyclicGroup: is_cyclic() would need its orders
              ((fam.symmetric(3), fam.direct_product([fam.cyclic(2), fam.cyclic(256)])),
               "|Z2xZ256| = 512 exceeds the search cap of 256")]
     for (source, target), message in cases:
