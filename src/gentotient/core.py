@@ -5,17 +5,22 @@ exhaustive enumeration, and an order spectrum (map from element order to the
 number of elements of that order).  The generalized totient of a group is the
 spectrum count at the group exponent.
 
+Each realization writes its group law once, as a batch law: it numbers its
+elements 0..|G|-1, with 0 the identity, and multiplies whole numpy batches of
+them.  The base ``Group`` derives the payload operations (``identity``,
+``multiply``, ``power``, ``elements``) from that law, on batches of one, under
+the enumeration cap; each costs microseconds, so bulk work stays on indices.
+
 Enumeration is the oracle that every closed formula in
 :mod:`gentotient.closedforms` gets checked against, so the element-by-element
-paths here deliberately avoid those formulas.  The oracle is one order engine:
-every realization numbers its elements 0..|G|-1 in ``elements()`` order and
-applies its group law to whole numpy batches of them, from which the engine
-builds the power maps x -> x^p and the order of every element.  Structural
-shortcuts exist only where the spectrum of a large group is assembled from
-exhaustively computed pieces: direct products lcm-convolve their factors' order
-counts and check the result once (abelian groups, the products of their cyclic
-factors of prime-power order, convolve those factors' counts directly), and
-symmetric/alternating groups delegate to the cycle-type engine.
+paths here deliberately avoid those formulas.  The oracle is one order engine,
+which runs the batch law over all indices to build the power maps x -> x^p
+and the order of every element.  Structural shortcuts exist only where the
+spectrum of a large group is assembled from exhaustively computed pieces:
+direct products lcm-convolve their factors' order counts and check the result
+once (abelian groups, the products of their cyclic factors of prime-power
+order, convolve those factors' counts directly), and symmetric/alternating
+groups delegate to the cycle-type engine.
 
 The engine runs over a bucket: k groups of one realization and one order N
 laid out as one index space, in which element i of the g-th group has index
@@ -30,9 +35,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
-from itertools import permutations as _permutations
-from itertools import product as _iproduct
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -237,17 +239,11 @@ class Group:
         self._orders: Optional[np.ndarray] = None
 
     # -- realization interface -------------------------------------------
-
-    def identity(self):
-        raise NotImplementedError
-
-    def multiply(self, x, y):
-        raise NotImplementedError
+    #
+    # A realization writes its group law once, as the batch law below, and
+    # says which payloads are its elements and whether it is abelian.
 
     def validate_element(self, x) -> None:
-        raise NotImplementedError
-
-    def elements(self) -> Iterator:
         raise NotImplementedError
 
     def is_abelian(self) -> bool:
@@ -270,12 +266,14 @@ class Group:
                 f"{cap} elements (set {MAX_ELEMENTS_ENV} to raise it)"
             )
 
-    # -- indexed batches: what the order engine sees ----------------------
+    # -- the batch law: what the order engine sees -------------------------
     #
-    # Index i names the i-th element of elements(); index 0 is the identity.
-    # A batch holds many elements as numpy arrays, in a layout each
-    # realization chooses, and _batch_multiply applies the group law to two
-    # batches element by element.
+    # Index i names the i-th element, and index 0 is the identity.  A batch
+    # holds many elements as numpy arrays, in a layout each realization
+    # chooses, and _batch_multiply applies the group law to two batches
+    # element by element.  The law is exact only under the enumeration cap
+    # (int64 arithmetic), so every payload operation below refuses a group
+    # beyond it.
 
     def _decode(self, idx: np.ndarray):
         """Batch holding the elements at the given indices."""
@@ -291,6 +289,46 @@ class Group:
     def _unpack(self, batch) -> list:
         """Canonical payloads of the elements of a batch."""
         raise NotImplementedError
+
+    def _pack(self, payloads: list):
+        """Batch holding the given payloads; the inverse of _unpack."""
+        raise NotImplementedError
+
+    # -- payloads, derived from the batch law ------------------------------
+    #
+    # Each payload operation runs the batch law on batches of one, so it
+    # costs microseconds: bulk work goes through indices instead.
+
+    def identity(self):
+        """The element of index 0."""
+        self.require_enumerable()
+        return self.payloads([0])[0]
+
+    def multiply(self, x, y):
+        """The product x * y of two payloads."""
+        self.require_enumerable()
+        return self._unpack(self._batch_multiply(self._pack([x]), self._pack([y])))[0]
+
+    def power(self, x, k: int):
+        """x^k for k >= 0 by binary exponentiation, on batches of one."""
+        if k < 0:
+            raise ValueError("negative powers not supported; invert explicitly")
+        self.require_enumerable()
+        acc = self._decode(np.zeros(1, dtype=_index_dtype(self.order)))
+        base = self._pack([x])
+        while k:
+            if k & 1:
+                acc = self._batch_multiply(acc, base)
+            base = self._batch_multiply(base, base)
+            k >>= 1
+        return self._unpack(acc)[0]
+
+    def elements(self) -> Iterator:
+        """Every element, in index order, decoded a chunk at a time."""
+        self.require_enumerable()
+        n = self.order
+        return (x for lo in range(0, n, ENGINE_CHUNK)
+                for x in self.payloads(np.arange(lo, min(n, lo + ENGINE_CHUNK))))
 
     def payloads(self, idx) -> list:
         """Payloads of the elements at the given indices."""
@@ -322,19 +360,6 @@ class Group:
         return self._table
 
     # -- generic machinery -------------------------------------------------
-
-    def power(self, x, k: int):
-        """x^k for k >= 0 by binary exponentiation."""
-        if k < 0:
-            raise ValueError("negative powers not supported; invert explicitly")
-        acc = self.identity()
-        base = x
-        while k:
-            if k & 1:
-                acc = self.multiply(acc, base)
-            base = self.multiply(base, base)
-            k >>= 1
-        return acc
 
     def element_order(self, x) -> int:
         """Least t >= 1 with x^t = identity.
@@ -481,19 +506,9 @@ class CyclicGroup(Group):
         super().__init__(n, f"Z{n}")
         self.n = n
 
-    def identity(self):
-        return 0
-
-    def multiply(self, x, y):
-        return (x + y) % self.n
-
     def validate_element(self, x):
         if not isinstance(x, int) or not 0 <= x < self.n:
             raise RealizationError(f"{x!r} is not a residue mod {self.n}")
-
-    def elements(self):
-        self.require_enumerable()
-        return iter(range(self.n))
 
     def _decode(self, idx):
         return idx.astype(np.int64, copy=False)
@@ -506,6 +521,9 @@ class CyclicGroup(Group):
 
     def _unpack(self, batch):
         return batch.tolist()
+
+    def _pack(self, payloads):
+        return np.array(payloads, dtype=np.int64)
 
     def element_order(self, x):
         return self.n // math.gcd(x, self.n)
@@ -592,27 +610,14 @@ class MetacyclicGroup(Group):
         super().__init__(m * n, name or f"MC({m},{n},{s},{r})", kind)
         self.m, self.n, self.s, self.r = m, n, s, r
         # set here, not by cached_property, so instances keep a compact __dict__
-        self._rpow = self._rpow_array = None
+        self._rpow = None
 
-    def _powers_of_r(self) -> tuple:
-        """r^k mod m for k < n, as a tuple and an array, built on first use:
-        n can be far beyond any cap."""
+    def _powers_of_r(self) -> np.ndarray:
+        """r^k mod m for k < n, built on first use: n can be far beyond any cap."""
         if self._rpow is None:
-            self._rpow = tuple(pow(self.r, k, self.m) for k in range(self.n))
-            self._rpow_array = np.array(self._rpow, dtype=np.int64)
-        return self._rpow, self._rpow_array
-
-    def identity(self):
-        return (0, 0)
-
-    def multiply(self, x, y):
-        i, j = x
-        k, l = y
-        t = i + k
-        rk = self._powers_of_r()[0][k]
-        if t >= self.n:
-            return (t - self.n, (j * rk + l + self.s) % self.m)
-        return (t, (j * rk + l) % self.m)
+            self._rpow = np.array([pow(self.r, k, self.m) for k in range(self.n)],
+                                  dtype=np.int64)
+        return self._rpow
 
     def validate_element(self, x):
         if (
@@ -627,10 +632,6 @@ class MetacyclicGroup(Group):
                 f"{x!r} is not a normal-form pair for MC({self.m},{self.n},{self.s},{self.r})"
             )
 
-    def elements(self):
-        self.require_enumerable()
-        return ((i, j) for i in range(self.n) for j in range(self.m))
-
     # batches: the arrays (i, j) of the normal forms b^i a^j
 
     def _decode(self, idx):
@@ -641,11 +642,14 @@ class MetacyclicGroup(Group):
         return i * self.m + j
 
     def _batch_multiply(self, x, y):
-        rk = self._powers_of_r()[1][y[0]]
+        rk = self._powers_of_r()[y[0]]
         return _normal_form_product(x, y, self.m, self.n, self.s, rk)
 
     def _unpack(self, batch):
         return list(zip(batch[0].tolist(), batch[1].tolist()))
+
+    def _pack(self, payloads):
+        return tuple(np.array(part, dtype=np.int64) for part in zip(*payloads))
 
     def is_abelian(self):
         return self.m <= 1 or self.r == 1
@@ -688,23 +692,13 @@ class PGroupP(Group):
         return least
 
     @cached_property
-    def _tpow(self) -> tuple:
-        """t^c mod p for c < q, as a tuple and as an array."""
-        powers = tuple(pow(self.t, c, self.p) for c in range(self.q))
-        return powers, np.array(powers, dtype=np.int64)
+    def _tpow(self) -> np.ndarray:
+        """t^c mod p for c < q."""
+        return np.array([pow(self.t, c, self.p) for c in range(self.q)], dtype=np.int64)
 
     @cached_property
     def _shape(self) -> tuple:
         return (self.q,) + (self.p,) * self.dim
-
-    def identity(self):
-        return ((0,) * self.dim, 0)
-
-    def multiply(self, x, y):
-        v, c = x
-        w, d = y
-        tc = self._tpow[0][c]
-        return (tuple((a + tc * b) % self.p for a, b in zip(v, w)), (c + d) % self.q)
 
     def validate_element(self, x):
         ok = (
@@ -719,14 +713,6 @@ class PGroupP(Group):
         if not ok:
             raise RealizationError(f"{x!r} is not a (vector, c) pair for {self.name}")
 
-    def elements(self):
-        self.require_enumerable()
-        return (
-            (v, c)
-            for c in range(self.q)
-            for v in _iproduct(*[range(self.p)] * self.dim)
-        )
-
     # batches: the array of c followed by one array per vector coordinate
 
     def _decode(self, idx):
@@ -736,13 +722,17 @@ class PGroupP(Group):
         return np.ravel_multi_index(batch, self._shape)
 
     def _batch_multiply(self, x, y):
-        tc = self._tpow[1][x[0]]
+        tc = self._tpow[x[0]]
         return ((x[0] + y[0]) % self.q,
                 *((a + tc * b) % self.p for a, b in zip(x[1:], y[1:])))
 
     def _unpack(self, batch):
         vectors = zip(*(a.tolist() for a in batch[1:]))
         return [(v, c) for c, v in zip(batch[0].tolist(), vectors)]
+
+    def _pack(self, payloads):
+        vectors, cs = zip(*payloads)
+        return (np.array(cs, dtype=np.int64), *np.array(vectors, dtype=np.int64).T)
 
     def is_abelian(self):
         return False
@@ -820,13 +810,6 @@ class _PermutationBase(Group):
         super().__init__(order, name, kind)
         self.degree = degree
 
-    def identity(self):
-        return tuple(range(self.degree))
-
-    def multiply(self, x, y):
-        # compose: apply y first, then x
-        return tuple(x[y[i]] for i in range(self.degree))
-
     def validate_element(self, x):
         if (
             not isinstance(x, tuple)
@@ -839,7 +822,7 @@ class _PermutationBase(Group):
         return math.lcm(*_cycle_lengths(x))
 
     def _batch_multiply(self, x, y):
-        # column r of the product maps i to x[y[i, r], r]
+        # compose, applying y first: column r of the product maps i to x[y[i, r], r]
         n = y.shape[1]
         at = y.astype(np.intp)
         at *= n
@@ -848,6 +831,9 @@ class _PermutationBase(Group):
 
     def _unpack(self, batch):
         return list(map(tuple, batch.T.tolist()))
+
+    def _pack(self, payloads):
+        return np.array(payloads, dtype=np.uint8 if len(payloads[0]) <= 256 else np.int32).T
 
 
 class _CycleTypeGroup(_PermutationBase):
@@ -888,11 +874,7 @@ class SymmetricGroup(_CycleTypeGroup):
             raise ValueError(f"symmetric group needs n >= 1, got {n}")
         super().__init__(n, math.factorial(n))
 
-    def elements(self):
-        self.require_enumerable()
-        return _permutations(range(self.n))
-
-    # indices are lexicographic ranks, the order of elements()
+    # indices are lexicographic ranks
 
     def _decode(self, idx):
         return _lehmer_to_perms(_lehmer_digits(idx, self.n))
@@ -913,14 +895,11 @@ class AlternatingGroup(_CycleTypeGroup):
             raise ValueError(f"alternating group needs n >= 2, got {n}")
         super().__init__(n, math.factorial(n) // 2)
 
-    def elements(self):
-        self.require_enumerable()
-        return (p for p in _permutations(range(self.n)) if _perm_is_even(p))
-
     # The permutations of lexicographic ranks 2i and 2i + 1 differ by a swap
     # of the last two points, so exactly one of them is even, and it is the
-    # i-th element of elements().  Rank 2i has Lehmer digit 0 at position
-    # n - 2; setting that digit to the parity of the others picks the even one.
+    # i-th even permutation, the element of index i.  Rank 2i has Lehmer
+    # digit 0 at position n - 2; setting that digit to the parity of the
+    # others picks the even one.
 
     def _decode(self, idx):
         digits = _lehmer_digits(2 * idx.astype(np.int64), self.n)
@@ -960,7 +939,7 @@ class PermutationClosureGroup(_PermutationBase):
         # Breadth-first closure of the identity, one level at a time: level
         # x1, x2, ... yields x1 g1, x1 g2, ..., x2 g1, ..., and the products
         # not seen before, in that order, form the next level.
-        gens = np.array(self.generators, dtype=np.uint8 if degree <= 256 else np.int32).T
+        gens = self._pack(self.generators)
         level = np.arange(degree, dtype=gens.dtype)[:, None]
         levels = [level]
         seen = set(_row_keys(level).tolist())
@@ -988,11 +967,6 @@ class PermutationClosureGroup(_PermutationBase):
         super().__init__(degree, self._rows.shape[1],
                          name or f"<{len(generators)} gens on {degree} points>", kind)
 
-    def elements(self):
-        """Every element, in breadth-first order from the identity."""
-        self.require_enumerable()
-        return iter(self._unpack(self._rows))
-
     def _find(self, batch):
         """Each column's index in the closure, and whether it is there at all."""
         keys = _row_keys(batch)
@@ -1001,7 +975,7 @@ class PermutationClosureGroup(_PermutationBase):
 
     def validate_element(self, x):
         super().validate_element(x)
-        _, found = self._find(np.array(x, dtype=self._rows.dtype)[:, None])
+        _, found = self._find(self._pack([x]))
         if not found[0]:
             raise RealizationError(f"{x!r} is not an element of {self.name}")
 
@@ -1015,11 +989,12 @@ class PermutationClosureGroup(_PermutationBase):
         return idx
 
     def is_abelian(self):
-        return all(
-            self.multiply(a, b) == self.multiply(b, a)
-            for a in self.generators
-            for b in self.generators
-        )
+        # one batch product g_i g_j over all ordered generator pairs (i, j)
+        k = len(self.generators)
+        gens = self._pack(self.generators)
+        products = self._batch_multiply(np.repeat(gens, k, axis=1), np.tile(gens, k))
+        products = products.reshape(-1, k, k)
+        return bool(np.array_equal(products, products.transpose(0, 2, 1)))
 
 
 class DirectProductGroup(Group):
@@ -1035,12 +1010,6 @@ class DirectProductGroup(Group):
         super().__init__(order, name or "x".join(f.name for f in factors), kind)
         self.factors = tuple(factors)
 
-    def identity(self):
-        return tuple(f.identity() for f in self.factors)
-
-    def multiply(self, x, y):
-        return tuple(f.multiply(a, b) for f, a, b in zip(self.factors, x, y))
-
     def validate_element(self, x):
         if not isinstance(x, tuple) or len(x) != len(self.factors):
             raise RealizationError(f"{x!r} is not a {len(self.factors)}-component tuple")
@@ -1051,10 +1020,6 @@ class DirectProductGroup(Group):
         super().require_enumerable()
         for f in self.factors:
             f.require_enumerable()
-
-    def elements(self):
-        self.require_enumerable()
-        return _iproduct(*[f.elements() for f in self.factors])
 
     # batches: one batch per factor
 
@@ -1071,6 +1036,9 @@ class DirectProductGroup(Group):
 
     def _unpack(self, batch):
         return list(zip(*(f._unpack(b) for f, b in zip(self.factors, batch))))
+
+    def _pack(self, payloads):
+        return tuple(f._pack(part) for f, part in zip(self.factors, zip(*payloads)))
 
     def element_order(self, x):
         out = 1
@@ -1249,19 +1217,9 @@ class CayleyTableGroup(Group):
         """Rows of the table as lists of Python ints."""
         return self._table.tolist()
 
-    def identity(self):
-        return 0
-
-    def multiply(self, x, y):
-        return self.table[x][y]
-
     def validate_element(self, x):
         if not isinstance(x, int) or not 0 <= x < self.order:
             raise RealizationError(f"{x!r} is not a table index below {self.order}")
-
-    def elements(self):
-        self.require_enumerable()
-        return iter(range(self.order))
 
     def _decode(self, idx):
         return idx
@@ -1274,6 +1232,9 @@ class CayleyTableGroup(Group):
 
     def _unpack(self, batch):
         return batch.tolist()
+
+    def _pack(self, payloads):
+        return np.array(payloads, dtype=np.intp)
 
     def is_abelian(self):
         return bool(np.array_equal(self._table, self._table.T))
@@ -1378,38 +1339,49 @@ def commuting_witness(group: Group) -> Optional[list]:
     orders = group.element_orders()
     exp = int(np.lcm.reduce(orders))
     targets = sorted(p**a for p, a in factorize(exp).items())
-    if not targets:
-        return []
-    # candidates in elements() order, decoded in one batch
-    picks = [np.flatnonzero(orders == t) for t in targets]
-    candidates = group.payloads(np.concatenate(picks))
-    ends = list(accumulate(len(pick) for pick in picks))
-    buckets = [candidates[end - len(pick):end] for pick, end in zip(picks, ends)]
-    # search smallest candidate sets first; remember where each target goes
-    search_order = sorted(range(len(targets)), key=lambda i: len(buckets[i]))
-    chosen: list = [None] * len(targets)
+    # candidate indices in ascending order, one pool per target
+    pools = [np.flatnonzero(orders == t) for t in targets]
+    if group.is_abelian():  # the search below would take the first of each pool
+        return group.payloads([pool[0] for pool in pools])
 
-    def backtrack(depth: int) -> bool:
-        if depth == len(search_order):
-            return True
-        slot = search_order[depth]
-        for cand in buckets[slot]:
-            ok = True
-            for earlier in search_order[:depth]:
-                other = chosen[earlier]
-                if group.multiply(cand, other) != group.multiply(other, cand):
-                    ok = False
+    def search(pools: list) -> Optional[list]:
+        """First choice from each pool, in order, that commutes pairwise.
+
+        A block of the first pool's candidates is tested against one later
+        pool at a time, about ENGINE_CHUNK products per batch.  A candidate
+        keeps in each later pool only the members that commute with it, and
+        one that empties a later pool is dropped.
+        """
+        first, later = pools[0], pools[1:]
+        if not later:
+            return [first[0]]
+        step = max(1, ENGINE_CHUNK // max(map(len, later)))
+        for lo in range(0, len(first), step):
+            block = first[lo:lo + step]
+            alive = np.ones(len(block), dtype=bool)
+            masks = []
+            for pool in later:
+                x, y = np.repeat(block, len(pool)), np.tile(pool, len(block))
+                commute = group.index_product(x, y) == group.index_product(y, x)
+                masks.append(commute.reshape(len(block), len(pool)))
+                alive &= masks[-1].any(axis=1)
+                if not alive.any():
                     break
-            if ok:
-                chosen[slot] = cand
-                if backtrack(depth + 1):
-                    return True
-                chosen[slot] = None
-        return False
+            else:
+                for r in np.flatnonzero(alive):
+                    found = search([pool[mask[r]] for pool, mask in zip(later, masks)])
+                    if found is not None:
+                        return [block[r], *found]
+        return None
 
-    if backtrack(0):
-        return list(chosen)
-    return None
+    # search smallest pools first
+    search_order = sorted(range(len(targets)), key=lambda i: len(pools[i]))
+    found = search([pools[i] for i in search_order])
+    if found is None:
+        return None
+    chosen = np.empty(len(targets), dtype=orders.dtype)
+    chosen[search_order] = found
+    return group.payloads(chosen)
 
 
 def report(group: Group) -> PhiReport:

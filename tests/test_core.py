@@ -1,5 +1,7 @@
 """Element arithmetic, enumeration, and spectrum invariants."""
 
+import ast
+import inspect
 import math
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import gentotient as gt
 from gentotient import classc
 from gentotient import closedforms as cf
+from gentotient import core
 from gentotient import families as fam
 from gentotient.core import (
     CAYLEY_TABLE_LIMIT,
@@ -150,6 +153,30 @@ def test_enumeration_matches_declared_order(group):
 def test_enumeration_cap_on_large_symmetric():
     with pytest.raises(ResourceLimitError):
         list(fam.symmetric(11).elements())
+
+
+def test_payload_operations_keep_the_enumeration_cap(monkeypatch):
+    # payload operations run the batch law, which is exact only under the cap
+    with pytest.raises(ResourceLimitError, match="^element enumeration of S_n is capped"):
+        fam.symmetric(11).identity()
+    monkeypatch.setenv("GENTOTIENT_MAX_ELEMENTS", "100")
+    g = fam.metacyclic(16, 8, 0, 3)
+    for refused in (lambda: gt.multiply(g, (1, 0), (0, 1)), g.identity, g.elements):
+        with pytest.raises(ResourceLimitError) as err:
+            refused()
+        assert str(err.value) == (f"|{g.name}| = 128 exceeds the enumeration cap of 100 "
+                                  f"elements (set GENTOTIENT_MAX_ELEMENTS to raise it)")
+    assert g._rpow is None
+
+
+def test_only_the_base_group_writes_payload_operations():
+    """A realization writes one group law, its batch law; Group derives the
+    payload operations from it, so no other class of core defines them."""
+    names = {"identity", "multiply", "elements", "power"}
+    writers = {(cls.name, fn.name) for cls in ast.walk(ast.parse(inspect.getsource(core)))
+               if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name in names}
+    assert writers == {("Group", name) for name in names}
 
 
 def test_abelian_spectrum_keeps_the_enumeration_cap():

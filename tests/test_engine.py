@@ -1,5 +1,6 @@
-"""The order engine: indexed batches and power maps against the payload path."""
+"""The order engine: indexed batches and power maps against reference scalar laws."""
 
+import itertools
 import re
 
 import numpy as np
@@ -8,18 +9,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gentotient.closedforms as cf
-from gentotient import core
+from gentotient import classc, core
 from gentotient import families as fam
 from gentotient.classc import standard_catalog
 from gentotient.core import (
+    AlternatingGroup,
     CayleyTableGroup,
+    CyclicGroup,
+    DirectProductGroup,
     Group,
     IntegrityError,
     MetacyclicGroup,
     PermutationClosureGroup,
+    PGroupP,
+    SymmetricGroup,
     spectra_of,
     spectrum_by_enumeration,
 )
+from gentotient.numtheory import factorize
 
 METACYCLIC = list(cf.valid_metacyclic_presentations(24, 8))
 P_PARAMS = [(p, q, n) for p in (3, 5, 7, 11, 13) for q in (2, 3, 5)
@@ -47,12 +54,81 @@ def same_order_metacyclic(order):
 BUCKET_ORDERS = [n for n in range(2, 65) if len(same_order_metacyclic(n)) >= 3]
 
 
+# -- reference laws -------------------------------------------------------------
+# Each realization writes its group law once, as a batch law, and Group derives
+# the payload operations from it.  These scalar laws, one per realization, are
+# the independent reference that the batch laws are checked against.
+
+
+def reference_multiply(group, x, y):
+    """x * y by the scalar law of the group's realization."""
+    if isinstance(group, DirectProductGroup):
+        return tuple(reference_multiply(f, a, b) for f, a, b in zip(group.factors, x, y))
+    if isinstance(group, CyclicGroup):
+        return (x + y) % group.n
+    if isinstance(group, MetacyclicGroup):
+        i, j = x
+        k, l = y
+        t = i + k
+        rk = pow(group.r, k, group.m)
+        if t >= group.n:
+            return (t - group.n, (j * rk + l + group.s) % group.m)
+        return (t, (j * rk + l) % group.m)
+    if isinstance(group, PGroupP):
+        v, c = x
+        w, d = y
+        tc = pow(group.t, c, group.p)
+        return (tuple((a + tc * b) % group.p for a, b in zip(v, w)), (c + d) % group.q)
+    if isinstance(group, CayleyTableGroup):
+        return group.table[x][y]
+    # compose permutations: apply y first, then x
+    return tuple(x[y[i]] for i in range(group.degree))
+
+
+def reference_elements(group):
+    """Every element of the group, in the order its indices name them."""
+    if isinstance(group, DirectProductGroup):
+        return itertools.product(*[reference_elements(f) for f in group.factors])
+    if isinstance(group, CyclicGroup):
+        return iter(range(group.n))
+    if isinstance(group, MetacyclicGroup):
+        return ((i, j) for i in range(group.n) for j in range(group.m))
+    if isinstance(group, PGroupP):
+        return (
+            (v, c)
+            for c in range(group.q)
+            for v in itertools.product(*[range(group.p)] * group.dim)
+        )
+    if isinstance(group, CayleyTableGroup):
+        return iter(range(group.order))
+    if isinstance(group, SymmetricGroup):
+        return itertools.permutations(range(group.n))
+    if isinstance(group, AlternatingGroup):
+        return (p for p in itertools.permutations(range(group.n)) if core._perm_is_even(p))
+    # a closure: every element, in breadth-first order from the identity
+    assert isinstance(group, PermutationClosureGroup)
+    return iter(group._unpack(group._rows))
+
+
+def reference_order(group, x) -> int:
+    """Least t >= 1 with x^t = identity, by repeated reference products."""
+    identity = next(reference_elements(group))
+    y, t = x, 1
+    while y != identity:
+        y, t = reference_multiply(group, y, x), t + 1
+    return t
+
+
 def assert_engine_matches_payloads(group):
-    """Index order, orders and products of the engine equal the payload path."""
-    elements = list(group.elements())
+    """Index order, orders and products of the engine and the derived payload
+    operations equal the reference law."""
+    elements = list(reference_elements(group))
     n = len(elements)
     idx = np.arange(n)
     assert group.payloads(idx) == elements
+    assert list(group.elements()) == elements
+    assert group.identity() == elements[0]
+    assert group._encode(group._pack(elements)).tolist() == idx.tolist()
     # Group.element_order is the prime stripping with power(), whatever the
     # realization overrides
     assert group.element_orders().tolist() == [Group.element_order(group, x) for x in elements]
@@ -61,19 +137,21 @@ def assert_engine_matches_payloads(group):
     else:
         rng = np.random.default_rng(n)
         a, b = rng.integers(0, n, 200), rng.integers(0, n, 200)
-    products = group.payloads(group.index_product(a, b))
-    assert products == [group.multiply(elements[i], elements[j]) for i, j in zip(a, b)]
+    expected = [reference_multiply(group, elements[i], elements[j]) for i, j in zip(a, b)]
+    assert group.payloads(group.index_product(a, b)) == expected
+    assert [group.multiply(elements[i], elements[j]) for i, j in zip(a[:20], b[:20])] == \
+        expected[:20]
 
 
 def relabeled_table(group, relabel):
     """Cayley table of `group` with element k renamed relabel[k] (0 stays 0)."""
-    elements = list(group.elements())
+    elements = list(reference_elements(group))
     index = {x: i for i, x in enumerate(elements)}
     n = len(elements)
     table = [[0] * n for _ in range(n)]
     for i, x in enumerate(elements):
         for j, y in enumerate(elements):
-            table[relabel[i]][relabel[j]] = relabel[index[group.multiply(x, y)]]
+            table[relabel[i]][relabel[j]] = relabel[index[reference_multiply(group, x, y)]]
     return table
 
 
@@ -181,6 +259,25 @@ def test_engine_symmetric_and_alternating(n):
 
 def test_engine_permutation_closure():
     assert_engine_matches_payloads(PermutationClosureGroup(D8_GENERATORS))
+
+
+def test_closure_is_abelian_from_one_batch_product(monkeypatch):
+    def refuse(self, x, y):
+        raise AssertionError(f"is_abelian multiplied payloads of {self.name}")
+
+    monkeypatch.setattr(Group, "multiply", refuse)
+    cases = [
+        (D8_GENERATORS, False),
+        ([(1, 2, 3, 4, 0)], True),
+        ([(1, 0, 2, 3, 4), (0, 1, 3, 2, 4)], True),
+        # (0 1) commutes with (2 3) and with (3 4), which do not commute
+        ([(1, 0, 2, 3, 4), (0, 1, 3, 2, 4), (0, 1, 2, 4, 3)], False),
+    ]
+    for generators, abelian in cases:
+        group = PermutationClosureGroup(generators)
+        table = group.index_table()
+        assert group.is_abelian() is abelian == bool((table == table.T).all()), generators
+    assert not fam.mathieu11().is_abelian()
 
 
 def test_engine_refuses_a_broken_index_map():
@@ -320,3 +417,25 @@ def test_oracle_never_calls_closed_forms(monkeypatch):
     assert spectra[len(batched):] == bucket_references
     assert all(g._orders is None for g in [*batched.values(), *bucket])
     assert calls == []
+
+
+def test_commuting_witness_searches_on_indices(monkeypatch):
+    """On every catalog group the witness search multiplies no payloads, and
+    its witness holds under the reference law."""
+    groups = standard_catalog(2000)
+
+    def refuse(self, x, y):
+        raise AssertionError(f"commuting_witness multiplied payloads of {self.name}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Group, "multiply", refuse)
+        witnesses = [core.commuting_witness(g) for g in groups]
+    for g, witness in zip(groups, witnesses):
+        assert (witness is not None) == classc.in_class_c(g), g.name
+        if witness is None:
+            continue
+        targets = sorted(p**a for p, a in factorize(g.spectrum().exponent()).items())
+        assert sorted(reference_order(g, x) for x in witness) == targets, g.name
+        for i, a in enumerate(witness):
+            for b in witness[i + 1:]:
+                assert reference_multiply(g, a, b) == reference_multiply(g, b, a), g.name
