@@ -1341,7 +1341,10 @@ def commuting_witness(group: Group) -> Optional[list]:
     targets = sorted(p**a for p, a in factorize(exp).items())
     # candidate indices in ascending order, one pool per target
     pools = [np.flatnonzero(orders == t) for t in targets]
-    if group.is_abelian():  # the search below would take the first of each pool
+    # the search below would take the first of each pool; this return is
+    # faster on the many small abelian groups, and it also answers the
+    # trivial group, whose exponent 1 leaves no targets
+    if group.is_abelian():
         return group.payloads([pool[0] for pool in pools])
 
     def search(pools: list) -> Optional[list]:

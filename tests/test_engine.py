@@ -129,9 +129,12 @@ def assert_engine_matches_payloads(group):
     assert list(group.elements()) == elements
     assert group.identity() == elements[0]
     assert group._encode(group._pack(elements)).tolist() == idx.tolist()
-    # Group.element_order is the prime stripping with power(), whatever the
-    # realization overrides
-    assert group.element_orders().tolist() == [Group.element_order(group, x) for x in elements]
+    # every element's order by the reference law; the engine's orders and
+    # Group.element_order (the prime stripping with power(), on the batch law,
+    # whatever the realization overrides) must both equal it
+    orders = [reference_order(group, x) for x in elements]
+    assert group.element_orders().tolist() == orders
+    assert [Group.element_order(group, x) for x in elements] == orders
     if n <= 64:
         a, b = np.repeat(idx, n), np.tile(idx, n)
     else:
