@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import families
-from .closedforms import (
-    _metacyclic_presentations_of,
-    abelian_types_up_to,
-    hamiltonian_types_up_to,
-    metacyclic_order_profile,
-    p_group_parameters,
-)
+from .closedforms import metacyclic_order_profile
 from .core import DirectProductGroup, Group, IntegrityError, spectra_of
 from .numtheory import is_prime
 
@@ -119,59 +113,23 @@ def _spectrum_fingerprint(group: Group) -> tuple:
 def scan_families(order_bound: int) -> tuple:
     """Deterministic list of constructible groups with order <= order_bound.
 
-    Covers every family constructor over bounded parameters, plus products of
-    a cyclic group with each nonabelian member.  No claim of covering all
-    isomorphism classes is made; this is the corroboration catalog for
-    catalog_scan.
+    The members of each row of families.FAMILIES in turn, then Z_a x G for
+    a >= 2 and each nonabelian member G of a partner row (dihedral,
+    quaternion, quasidihedral, P, symmetric, alternating).  No claim of
+    covering all isomorphism classes is made; this is the corroboration
+    catalog for catalog_scan.
     """
     groups: list[Group] = []
-    for n in range(1, order_bound + 1):
-        groups.append(families.cyclic(n))
-    for _, ptype in abelian_types_up_to(order_bound):
-        groups.append(families.abelian(ptype))
-    nonabelian: list[Group] = []
-    for two_n in range(4, order_bound + 1, 2):
-        g = families.dihedral(two_n)
-        groups.append(g)
-        if two_n >= 6:
-            nonabelian.append(g)
-    for build, size in ((families.generalized_quaternion, 8), (families.quasidihedral, 16)):
-        while size <= order_bound:
-            g = build(size)
+    partners: list[Group] = []
+    for family in families.FAMILIES:
+        for params in family.members(order_bound):
+            g = family.build(*params)
             groups.append(g)
-            nonabelian.append(g)
-            size *= 2
-    for m in range(1, order_bound + 1):
-        for params in _metacyclic_presentations_of(m, order_bound // m):
-            groups.append(families.metacyclic(*params))
-    for params in p_group_parameters(order_bound):
-        g = families.p_group_P(*params)
-        groups.append(g)
-        nonabelian.append(g)
-    n = 1
-    while math.factorial(n) <= order_bound:
-        g = families.symmetric(n)
-        groups.append(g)
-        if n >= 3:
-            nonabelian.append(g)
-        n += 1
-    n = 2
-    while math.factorial(n) // 2 <= order_bound:
-        g = families.alternating(n)
-        groups.append(g)
-        if n >= 4:
-            nonabelian.append(g)
-        n += 1
-    for rank, odd_type in hamiltonian_types_up_to(order_bound):
-        odd = families.abelian(odd_type) if odd_type else families.cyclic(1)
-        groups.append(families.hamiltonian(rank, odd))
-    if order_bound >= families.MATHIEU11_ORDER:
-        groups.append(families.mathieu11())
-    for h in nonabelian:
-        a = 2
-        while a * h.order <= order_bound:
+            if family.partner and not g.is_abelian():
+                partners.append(g)
+    for h in partners:
+        for a in range(2, order_bound // h.order + 1):
             groups.append(families.direct_product([families.cyclic(a), h]))
-            a += 1
     return tuple(groups)
 
 
@@ -201,8 +159,10 @@ def standard_catalog(max_order: int) -> tuple:
     """Fixed cross-family test catalog of enumerable groups, deterministic.
 
     This is the population that the equivalence and comparison properties are
-    exercised against; it mixes every realization including degenerate and
-    adversarial parameter choices.
+    exercised against, degenerate and adversarial parameter choices included.
+    It holds every realization but PermutationClosureGroup and CayleyTableGroup:
+    cyclic, abelian, metacyclic, P, symmetric, alternating and direct-product
+    groups, the Hamiltonian ones among the last.
     """
     groups: list[Group] = []
     groups += [families.cyclic(n) for n in

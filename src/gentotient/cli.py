@@ -8,7 +8,8 @@ Subcommands:
 
 Group expressions: `Z6`, `Z2^3`, `D8`, `Q16`, `SD16`, `S5`, `A6`, `M11`,
 `MC(m,n,s,r)`, `Ab(2:1,2;3:1)`, `P(p,q,n)`, `@imported`; every `x` separates
-the factors of a product (for example `Z6xS3`).
+the factors of a product (for example `Z6xS3`).  Each form but `@id` is the
+pattern of a row of families.FAMILIES.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 resource limit, 4 input-file integrity error.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import re
 import sys
@@ -28,7 +28,6 @@ from pathlib import Path
 
 from . import families
 from .core import (
-    AbelianGroup,
     CayleyTableGroup,
     Group,
     IntegrityError,
@@ -37,7 +36,8 @@ from .core import (
     report,
 )
 from .classc import solve_phi_eq_prime
-from .numtheory import decimal_digits, factorize, is_prime
+from .families import ExpressionError
+from .numtheory import decimal_digits
 from .verification import SUITES, run_suite, summarize
 
 EXIT_OK = 0
@@ -51,87 +51,8 @@ DEFAULT_REGISTRY = "gentotient_registry.json"
 QUANTITIES = ("phi", "exp", "order", "spectrum", "report")
 
 
-class ExpressionError(ValueError):
-    pass
-
-
 _ID = r"[\w.-]+"  # what @id accepts as an id
-
-
-def _scaled(log10: float) -> int:
-    """A base-10 logarithm as an integer in units of 2^-64.
-
-    A size multiplies it by its parameters exactly, so a parameter beyond
-    float range, as in Z3^(10^400), still gives a digit count.
-    """
-    return round(log10 * 2**64)
-
-
-def _scaled_log10_factorial(n: int, divisor: int) -> int:
-    """log10(n! / divisor) in the units of _scaled.
-
-    From lgamma while its result fits a float; beyond that, from the integer
-    lower bound (n // 2)^(n // 2) <= n!, whose digit count is still far
-    beyond anything Python prints.
-    """
-    try:
-        return _scaled((math.lgamma(n + 1) - math.log(divisor)) / math.log(10))
-    except OverflowError:
-        return (n // 2) * _scaled(math.log10(n // 2)) - _scaled(math.log10(divisor))
-
-
-# One row per form: its pattern; for the forms whose order can outgrow what
-# Python prints, log10 |G| in units of 2^-64 (see _scaled) from the
-# matched integers, so that the group is refused before it is built (building
-# Z2^(10^11) alone would exhaust memory); and its constructor.  Ab(...) checks
-# its own size once its body is parsed.
-_FACTOR_PATTERNS = [
-    (re.compile(r"^M11$"), None, lambda m, reg: families.mathieu11()),
-    # a zero base passes the size row, and the constructor rejects it
-    (re.compile(r"^Z(\d+)\^(\d+)$"), lambda b, k: k * _scaled(math.log10(b)) if b else 0,
-     lambda m, reg: _power_of_cyclic(int(m[1]), int(m[2]))),
-    (re.compile(r"^Z(\d+)$"), None, lambda m, reg: families.cyclic(int(m[1]))),
-    (re.compile(r"^D(\d+)$"), None, lambda m, reg: families.dihedral(int(m[1]))),
-    (re.compile(r"^Q(\d+)$"), None, lambda m, reg: families.generalized_quaternion(int(m[1]))),
-    (re.compile(r"^SD(\d+)$"), None, lambda m, reg: families.quasidihedral(int(m[1]))),
-    (re.compile(r"^S(\d+)$"), lambda n: _scaled_log10_factorial(n, 1),
-     lambda m, reg: families.symmetric(int(m[1]))),
-    (re.compile(r"^A(\d+)$"), lambda n: _scaled_log10_factorial(n, 2),
-     lambda m, reg: families.alternating(int(m[1]))),
-    (re.compile(r"^MC\((\d+),(\d+),(\d+),(\d+)\)$"), None,
-     lambda m, reg: families.metacyclic(*map(int, m.groups()))),
-    # parameters below 2 pass the size row, and the constructor rejects them
-    (re.compile(r"^P\((\d+),(\d+),(\d+)\)$"),
-     lambda p, q, n: (n - 1) * _scaled(math.log10(p or 1)) + _scaled(math.log10(q or 1)),
-     lambda m, reg: families.p_group_P(*map(int, m.groups()))),
-    (re.compile(r"^Ab\(([0-9:,;]+)\)$"), None, lambda m, reg: _parse_abelian(m[0], m[1])),
-    (re.compile(rf"^@({_ID})$"), None, lambda m, reg: _load_registered(m[1], reg)),
-]
-
-
-def _power_of_cyclic(base: int, k: int) -> Group:
-    """Z_base^k as an abelian group, so its spectrum is subject to the cap."""
-    if base < 1 or k < 1:
-        raise ValueError(f"need a base and a power >= 1, got Z{base}^{k}")
-    if base == 1:
-        return families.cyclic(1)
-    if is_prime(base):
-        return families.elementary_abelian(base, k)
-    return AbelianGroup([(p, [a] * k) for p, a in factorize(base).items()],
-                        name=f"Z{base}^{k}")
-
-
-def _parse_abelian(token: str, body: str) -> Group:
-    ptype = []
-    for chunk in body.split(";"):
-        if ":" not in chunk:
-            raise ExpressionError(f"bad abelian chunk {chunk!r}; want p:a1,a2,...")
-        p_str, exps = chunk.split(":", 1)
-        ptype.append((int(p_str), [int(a) for a in exps.split(",")]))
-    # only primes count: the constructor rejects any other p, with exit 2
-    scaled = sum(sum(alphas) * _scaled(math.log10(p)) for p, alphas in ptype if is_prime(p))
-    _require_printable(token, "order", (scaled >> 64) + 1)
-    return families.abelian(ptype)
+_AT_ID = re.compile(rf"^@({_ID})$")
 
 
 def parse_group_expression(expr: str, registry_path: Path = None) -> Group:
@@ -146,24 +67,30 @@ def parse_group_expression(expr: str, registry_path: Path = None) -> Group:
     for token in expr.split("x"):
         if not token:
             raise ExpressionError(f"empty factor in {expr!r}")
-        for pattern, log10_order, build in _FACTOR_PATTERNS:
-            m = pattern.match(token)
-            if m:
-                try:
-                    if log10_order:
-                        digits = (log10_order(*map(int, m.groups())) >> 64) + 1
-                        _require_printable(token, "order", digits)
-                    factors.append(build(m, registry_path))
-                except (ValueError, KeyError, OverflowError) as exc:
-                    if isinstance(exc, ExpressionError):
-                        raise
-                    raise ExpressionError(f"cannot build {token!r}: {exc}") from exc
-                break
-        else:
-            raise ExpressionError(f"unrecognized factor {token!r}")
+        factors.append(_build_factor(token, registry_path))
     if len(factors) == 1:
         return factors[0]
     return families.direct_product(factors)
+
+
+def _build_factor(token: str, registry_path: Path = None) -> Group:
+    """The group one factor names: an @id, or a form of families.FAMILIES."""
+    try:
+        m = _AT_ID.match(token)
+        if m:
+            return _load_registered(m[1], registry_path)
+        for family in families.FAMILIES:
+            m = family.pattern and family.pattern.match(token)
+            if m:
+                params = family.params(m)
+                if family.log10_order:
+                    _require_printable(token, "order", (family.log10_order(*params) >> 64) + 1)
+                return family.build(*params)
+    except (ValueError, KeyError, OverflowError) as exc:
+        if isinstance(exc, ExpressionError):
+            raise
+        raise ExpressionError(f"cannot build {token!r}: {exc}") from exc
+    raise ExpressionError(f"unrecognized factor {token!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gentotient import cli
+from gentotient import classc, cli
 from gentotient import families as fam
-from gentotient.core import IntegrityError, ResourceLimitError
+from gentotient.core import IntegrityError, ResourceLimitError, spectra_of
 
 
 def run_cli(capsys, *argv):
@@ -58,6 +58,31 @@ def test_parse_errors():
                  "MC(4,2", ")(S3", "MC(4x2,1,0,1)"):
         with pytest.raises(cli.ExpressionError):
             cli.parse_group_expression(expr)
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("Znope", "unrecognized factor 'Znope'"),
+    ("Z1x", "empty factor in 'Z1x'"),
+    ("MC((1", "unbalanced parentheses in 'MC((1'"),
+    ("Ab(2)", "bad abelian chunk '2'; want p:a1,a2,..."),
+    ("Ab(2:1;3)", "bad abelian chunk '3'; want p:a1,a2,..."),
+    ("D2", "cannot build 'D2': dihedral order must be an even integer >= 4, got 2"),
+    ("@nope", "no imported group @nope in {registry}"),
+])
+def test_parse_error_text_is_pinned(tmp_path, capsys, expr, message):
+    registry = tmp_path / "registry.json"
+    code, out, err = run_cli(capsys, "--registry", str(registry), "eval", expr, "phi")
+    assert (code, out) == (cli.EXIT_USAGE, "")
+    assert err == f"error: {message.format(registry=registry)}\n"
+
+
+def test_every_catalog_name_parses_back_to_its_group():
+    # the grammar and the catalog read one table; a name the catalog prints
+    # must build a group with the same order and spectrum
+    groups = classc.scan_families.__wrapped__(60)
+    parsed = [cli.parse_group_expression(g.name) for g in groups]
+    for g, h, want, got in zip(groups, parsed, spectra_of(groups), spectra_of(parsed)):
+        assert (h.order, got.entries) == (g.order, want.entries), g.name
 
 
 # -- eval -----------------------------------------------------------------------

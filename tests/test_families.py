@@ -7,6 +7,7 @@ import re
 import pytest
 
 import gentotient as gt
+from gentotient import classc
 from gentotient import families as fam
 from gentotient.core import (
     IntegrityError,
@@ -296,3 +297,13 @@ def test_direct_product_with_trivial_factor():
 def test_product_with_mathieu_exceeds_classical_bound():
     big = fam.direct_product([fam.cyclic(1320), fam.mathieu11()])
     assert gt.phi(big) > euler_phi(1320) * 7920
+
+
+def test_each_factor_token_matches_exactly_one_family_pattern():
+    # the grammar takes the first row that matches, so an overlap would make
+    # the order of the rows matter
+    tokens = {t for g in classc.scan_families(200) for t in g.name.split("x")}
+    tokens |= {"M11", "Z6^2", "Ab(2:1,2;3:1)"}
+    patterns = [f.pattern for f in fam.FAMILIES if f.pattern]
+    for token in tokens:
+        assert sum(bool(p.match(token)) for p in patterns) == 1, token
