@@ -52,7 +52,7 @@ QUANTITIES = ("phi", "exp", "order", "spectrum", "report")
 
 
 _ID = r"[\w.-]+"  # what @id accepts as an id
-_AT_ID = re.compile(rf"^@({_ID})$")
+_AT_ID = re.compile(rf"@({_ID})")
 
 
 def parse_group_expression(expr: str, registry_path: Path = None) -> Group:
@@ -76,11 +76,11 @@ def parse_group_expression(expr: str, registry_path: Path = None) -> Group:
 def _build_factor(token: str, registry_path: Path = None) -> Group:
     """The group one factor names: an @id, or a form of families.FAMILIES."""
     try:
-        m = _AT_ID.match(token)
+        m = _AT_ID.fullmatch(token)
         if m:
             return _load_registered(m[1], registry_path)
         for family in families.FAMILIES:
-            m = family.pattern and family.pattern.match(token)
+            m = family.pattern and family.pattern.fullmatch(token)
             if m:
                 params = family.params(m)
                 if family.log10_order:
@@ -315,41 +315,35 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("expr")
     p_eval.add_argument("quantity", choices=QUANTITIES)
     p_eval.add_argument("--json", action="store_true")
+    p_eval.set_defaults(run=_cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run a regression suite")
     p_verify.add_argument("suite", choices=(*SUITES, "all"))
     fmt = p_verify.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
+    p_verify.set_defaults(run=_cmd_verify)
 
     p_solve = sub.add_parser("solve", help="solve phi(G) = p for prime p")
     p_solve.add_argument("p", type=int)
     p_solve.add_argument("--json", action="store_true")
+    p_solve.set_defaults(run=_cmd_solve)
 
     p_import = sub.add_parser("import", help="register a group file for @id use")
     p_import.add_argument("path")
     p_import.add_argument("--id", help="registry id (default: file stem)")
+    p_import.set_defaults(run=_cmd_import)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits with 2 on usage errors, which matches our contract
         return int(exc.code or 0)
-    out = sys.stdout
     try:
-        if args.command == "eval":
-            return _cmd_eval(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "solve":
-            return _cmd_solve(args, out)
-        if args.command == "import":
-            return _cmd_import(args, out)
-        parser.error(f"unknown command {args.command}")
+        return args.run(args, sys.stdout)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -359,7 +353,6 @@ def main(argv=None) -> int:
     except IntegrityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTEGRITY
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1064,7 +1064,9 @@ class AbelianGroup(DirectProductGroup):
     """Direct product of cyclic groups of prime-power order, by primary type.
 
     The factors are Z_(p^a), one per exponent a listed for the prime p, so
-    the elements are flat residue tuples.
+    the elements are flat residue tuples: ``AbelianGroup([(2, [1, 2]), (3, [1])])``
+    is Z_2 x Z_4 x Z_3.  Exponent lists are normalized to be nondecreasing
+    per prime.
     """
 
     kind = "abelian"

@@ -8,7 +8,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count, takewhile
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from . import closedforms as cf
 from .core import (
@@ -31,19 +31,14 @@ MATHIEU11_ORDER = 7920
 _M11_GEN_A = tuple((i + 1) % 11 for i in range(11))
 _M11_GEN_B = (0, 1, 6, 9, 5, 3, 10, 2, 8, 4, 7)  # (2 6 10 7)(3 9 4 5)
 
-
-def cyclic(n: int) -> CyclicGroup:
-    """Z_n, residues under addition mod n."""
-    return CyclicGroup(n)
-
-
-def abelian(primary_type: Sequence[tuple[int, Sequence[int]]]) -> AbelianGroup:
-    """Abelian group from its primary decomposition.
-
-    ``abelian([(2, [1, 2]), (3, [1])])`` is Z_2 x Z_4 x Z_3.  Exponent lists
-    are normalized to be nondecreasing per prime.
-    """
-    return AbelianGroup(primary_type)
+# A family whose constructor would only call its realization is that class.
+cyclic = CyclicGroup
+abelian = AbelianGroup
+metacyclic = MetacyclicGroup
+p_group_P = PGroupP
+symmetric = SymmetricGroup
+alternating = AlternatingGroup
+direct_product = DirectProductGroup
 
 
 def elementary_abelian(p: int, n: int) -> AbelianGroup:
@@ -51,11 +46,6 @@ def elementary_abelian(p: int, n: int) -> AbelianGroup:
     if n < 1:
         raise ValueError(f"elementary abelian rank must be >= 1, got {n}")
     return AbelianGroup([(p, [1] * n)], kind="elementary-abelian", name=f"Z{p}^{n}")
-
-
-def metacyclic(m: int, n: int, s: int, r: int) -> MetacyclicGroup:
-    """<a, b | a^m = 1, b^n = a^s, b^-1 a b = a^r>; see MetacyclicGroup."""
-    return MetacyclicGroup(m, n, s, r)
 
 
 def dihedral(two_n: int) -> MetacyclicGroup:
@@ -105,19 +95,6 @@ def hamiltonian(n: int, odd_abelian: Group) -> DirectProductGroup:
     return DirectProductGroup(factors, kind="hamiltonian")
 
 
-def p_group_P(p: int, q: int, n: int) -> PGroupP:
-    """Nonabelian Z_p^(n-1) : Z_q with a power automorphism; q | p - 1."""
-    return PGroupP(p, q, n)
-
-
-def symmetric(n: int) -> SymmetricGroup:
-    return SymmetricGroup(n)
-
-
-def alternating(n: int) -> AlternatingGroup:
-    return AlternatingGroup(n)
-
-
 @lru_cache(maxsize=1)
 def mathieu11() -> PermutationClosureGroup:
     """The Mathieu group on 11 points, order 7920, from two generators."""
@@ -126,11 +103,6 @@ def mathieu11() -> PermutationClosureGroup:
         raise IntegrityError(f"closure of M11 has {group.order} elements, "
                              f"declared order is {MATHIEU11_ORDER}")
     return group
-
-
-def direct_product(factors: Sequence[Group]) -> DirectProductGroup:
-    """Direct product with component-wise arithmetic."""
-    return DirectProductGroup(factors)
 
 
 class ExpressionError(ValueError):
@@ -182,6 +154,11 @@ def _scaled_log10_factorial(n: int, divisor: int) -> int:
         return (n // 2) * _scaled(math.log10(n // 2)) - _scaled(math.log10(divisor))
 
 
+def _form(pattern: str) -> re.Pattern:
+    """A factor form, matched against a whole token; \\d is an ASCII digit."""
+    return re.compile(pattern, re.ASCII)
+
+
 def _upto(bound: int, values, order=lambda n: n):
     """(n,) for each n of the increasing values while order(n) <= bound."""
     return ((n,) for n in takewhile(lambda n: order(n) <= bound, values))
@@ -189,8 +166,8 @@ def _upto(bound: int, values, order=lambda n: n):
 
 @dataclass(frozen=True)
 class Family:
-    """One family.  The grammar matches a factor against pattern (None: no
-    form) and builds build(*params(match)); where log10_order is set, it
+    """One family.  The grammar fullmatches a factor against pattern (None:
+    no form) and builds build(*params(match)); where log10_order is set, it
     first refuses an order too long to print, from log10 |G| in units of
     2^-64 (see _scaled), so Z2^(10^11) never exhausts memory.  The catalog
     builds build(*p) for each p of members(bound), then Z_a x G for each
@@ -207,31 +184,31 @@ class Family:
 # In catalog order; Z<b>^<k> has no members, for Ab holds its groups.  A size
 # guard lets a zero base or P parameters below 2 through to the constructor.
 FAMILIES = (
-    Family(re.compile(r"^Z(\d+)$"), cyclic, lambda b: _upto(b, count(1))),
-    Family(re.compile(r"^Z(\d+)\^(\d+)$"), _power_of_cyclic,
+    Family(_form(r"Z(\d+)"), cyclic, lambda b: _upto(b, count(1))),
+    Family(_form(r"Z(\d+)\^(\d+)"), _power_of_cyclic,
            log10_order=lambda base, k: k * _scaled(math.log10(base)) if base else 0),
     # only primes count: the constructor rejects any other p
-    Family(re.compile(r"^Ab\(([0-9:,;]+)\)$"), abelian,
+    Family(_form(r"Ab\(([0-9:,;]+)\)"), abelian,
            lambda b: ((ptype,) for _, ptype in cf.abelian_types_up_to(b)), params=_abelian_type,
            log10_order=lambda ptype: sum(sum(alphas) * _scaled(math.log10(p))
                                          for p, alphas in ptype if is_prime(p))),
-    Family(re.compile(r"^D(\d+)$"), dihedral, lambda b: _upto(b, count(4, 2)), partner=True),
-    Family(re.compile(r"^Q(\d+)$"), generalized_quaternion,
+    Family(_form(r"D(\d+)"), dihedral, lambda b: _upto(b, count(4, 2)), partner=True),
+    Family(_form(r"Q(\d+)"), generalized_quaternion,
            lambda b: _upto(b, (8 << k for k in count())), partner=True),
-    Family(re.compile(r"^SD(\d+)$"), quasidihedral,
+    Family(_form(r"SD(\d+)"), quasidihedral,
            lambda b: _upto(b, (16 << k for k in count())), partner=True),
-    Family(re.compile(r"^MC\((\d+),(\d+),(\d+),(\d+)\)$"), metacyclic,
+    Family(_form(r"MC\((\d+),(\d+),(\d+),(\d+)\)"), metacyclic,
            lambda b: (params for m in range(1, b + 1)
                       for params in cf._metacyclic_presentations_of(m, b // m))),
-    Family(re.compile(r"^P\((\d+),(\d+),(\d+)\)$"), p_group_P, cf.p_group_parameters,
+    Family(_form(r"P\((\d+),(\d+),(\d+)\)"), p_group_P, cf.p_group_parameters,
            log10_order=lambda p, q, n: (n - 1) * _scaled(math.log10(p or 1))
            + _scaled(math.log10(q or 1)), partner=True),
-    Family(re.compile(r"^S(\d+)$"), symmetric, lambda b: _upto(b, count(1), math.factorial),
+    Family(_form(r"S(\d+)"), symmetric, lambda b: _upto(b, count(1), math.factorial),
            log10_order=lambda n: _scaled_log10_factorial(n, 1), partner=True),
-    Family(re.compile(r"^A(\d+)$"), alternating,
+    Family(_form(r"A(\d+)"), alternating,
            lambda b: _upto(b, count(2), lambda n: math.factorial(n) // 2),
            log10_order=lambda n: _scaled_log10_factorial(n, 2), partner=True),
     Family(None, hamiltonian, lambda b: ((rank, abelian(odd) if odd else cyclic(1))
                                          for rank, odd in cf.hamiltonian_types_up_to(b))),
-    Family(re.compile(r"^M11$"), mathieu11, lambda b: [()] if b >= MATHIEU11_ORDER else []),
+    Family(_form(r"M11"), mathieu11, lambda b: [()] if b >= MATHIEU11_ORDER else []),
 )

@@ -7,7 +7,7 @@ import re
 import pytest
 
 import gentotient as gt
-from gentotient import classc
+from gentotient import classc, core
 from gentotient import families as fam
 from gentotient.core import (
     IntegrityError,
@@ -306,4 +306,18 @@ def test_each_factor_token_matches_exactly_one_family_pattern():
     tokens |= {"M11", "Z6^2", "Ab(2:1,2;3:1)"}
     patterns = [f.pattern for f in fam.FAMILIES if f.pattern]
     for token in tokens:
-        assert sum(bool(p.match(token)) for p in patterns) == 1, token
+        assert sum(bool(p.fullmatch(token)) for p in patterns) == 1, token
+
+
+REALIZED = {"cyclic": core.CyclicGroup, "abelian": core.AbelianGroup,
+            "metacyclic": core.MetacyclicGroup, "p_group_P": core.PGroupP,
+            "symmetric": core.SymmetricGroup, "alternating": core.AlternatingGroup,
+            "direct_product": core.DirectProductGroup}
+
+
+def test_families_that_add_nothing_are_their_realizations():
+    for name, cls in REALIZED.items():
+        assert getattr(fam, name) is cls, name
+    # so the grammar and the catalog build each of their rows with the class
+    builds = {f.build for f in fam.FAMILIES}
+    assert set(REALIZED.values()) - builds == {core.DirectProductGroup}
