@@ -16,10 +16,12 @@ The orders are group-law data from the power maps, never ``closedforms``,
 and each group builds its table once and caches it.
 
 Otherwise both counters backtrack over candidate images of a greedily chosen
-generating set.  Each partial assignment is extended to the generated
-subgroup by right-multiplication closure; every product x * g of a mapped
-element with a mapped generator is checked on the way, which is enough to
-certify the full homomorphism property once the closure stabilizes.
+generating set.  ``core.generate`` picks it, largest order first, and also
+grows G' from the commutators.  Each partial assignment is extended to the
+generated subgroup by right-multiplication closure; every product x * g of a
+mapped element with a mapped generator is checked on the way, which is
+enough to certify the full homomorphism property once the closure
+stabilizes.
 ``hom_count`` visits one search leaf per homomorphism.  ``aut_count`` does
 not: it multiplies orbit lengths down a chain of pointwise stabilizers in
 Aut G, found by orbit closure under the automorphisms met so far (Seress,
@@ -39,7 +41,8 @@ from .core import (
     Group,
     IntegrityError,
     ResourceLimitError,
-    close_under_products,
+    close_orbit,
+    generate,
     report,
 )
 from .numtheory import size_text
@@ -60,12 +63,13 @@ def _derived_subgroup(table: np.ndarray) -> np.ndarray:
     """Membership mask of the derived subgroup G', from an index table.
 
     G' is the subgroup generated by the commutators x^-1 y^-1 x y, which
-    include the identity; it is their set closed under products.
+    ``generate`` grows from greedy picks among them.
     """
     inv = np.argmax(table == 0, axis=1)
     member = np.zeros(len(table), dtype=bool)
     member[table[table[inv[:, None], inv], table]] = True
-    close_under_products(table, member)
+    _, closure = generate(table, np.flatnonzero(member).tolist())
+    member[list(closure)] = True
     return member
 
 
@@ -96,19 +100,9 @@ class MaterializedGroup:
 def greedy_generators(mat: MaterializedGroup) -> list[int]:
     """Generating set grown by repeatedly taking a maximal-order element
     outside the closure so far (smallest index on ties)."""
-    gens: list[int] = []
-    maps: list[list[int]] = []  # right multiplication by each generator
-    closure = {0}
-    while len(closure) < mat.n:
-        best = -1
-        best_order = 0
-        for i in range(mat.n):
-            if i not in closure and mat.orders[i] > best_order:
-                best, best_order = i, mat.orders[i]
-        gens.append(best)
-        maps.append([row[best] for row in mat.table])
-        _close(closure, maps)
-    return gens
+    # a stable sort: reverse=True keeps equal orders in index order
+    by_order = sorted(range(mat.n), key=mat.orders.__getitem__, reverse=True)
+    return generate(mat.group.index_table(), by_order)[0]
 
 
 def _capped_generators(mat: MaterializedGroup, counter: str) -> list[int]:
@@ -240,18 +234,6 @@ def _count_morphisms(src: MaterializedGroup, dst: MaterializedGroup,
     return search(0, False)
 
 
-def _close(points: set[int], maps: list[list[int]]) -> None:
-    """Grow ``points`` to its closure under the index maps ``maps``."""
-    queue = list(points)
-    while queue:
-        x = queue.pop()
-        for a in maps:
-            y = a[x]
-            if y not in points:
-                points.add(y)
-                queue.append(y)
-
-
 def _orbit_chain(mat: MaterializedGroup, gens: list[int],
                  candidates: list[list[int]]):
     """The orbit of each generator under the stabilizer chain of Aut G.
@@ -284,16 +266,16 @@ def _orbit_chain(mat: MaterializedGroup, gens: list[int],
                                  f"the closure checks")
         orbit, outside = orbits[depth], rejected[depth]
         orbit.add(gens[depth])
-        _close(orbit, found)
+        close_orbit(orbit, found)
         for h in candidates[depth]:
             if h in orbit or h in outside:
                 continue
             if search(depth, True, [h]):
                 found.append(leaf[:])
-                _close(orbit, found)
+                close_orbit(orbit, found)
             else:
                 outside.add(h)
-            _close(outside, found)
+            close_orbit(outside, found)
     return orbits, rejected, found
 
 

@@ -1121,43 +1121,50 @@ def _table_array(table, n: int) -> np.ndarray:
     raise IntegrityError("table entries are not integers below the side")
 
 
-def close_under_products(table: np.ndarray, inside: np.ndarray) -> None:
-    """Grow the membership mask ``inside``, in place, until its members are
-    closed under the products of the index table."""
-    while True:
-        members = np.flatnonzero(inside)
-        inside[table[np.ix_(members, members)]] = True
-        if np.count_nonzero(inside) == len(members):
-            return
+def close_orbit(points: set[int], maps: list[list[int]]) -> None:
+    """Grow ``points`` to its closure under the index maps ``maps``."""
+    queue = list(points)
+    while queue:
+        x = queue.pop()
+        for a in maps:
+            y = a[x]
+            if y not in points:
+                points.add(y)
+                queue.append(y)
 
 
-def _magma_generators(arr: np.ndarray) -> list[int]:
-    """Indices that generate the table under products, picked greedily.
+def generate(table: np.ndarray, candidates) -> tuple[list[int], set[int]]:
+    """Greedy generators from ``candidates``, and the closure they reach.
 
-    Each pick is the smallest index outside the submagma generated so far,
-    which is then closed under products of its members.  Index 0, the
-    identity, starts inside.  In a group each pick at least doubles the
-    subgroup generated so far, so a group of order n needs at most log2(n).
+    Walks the candidates in the given order and picks each one outside the
+    closure so far: the identity, index 0, closed under right multiplication
+    by the picks (the columns of the index table).  In a group that closure
+    is the subgroup the picks generate, and each pick at least doubles it,
+    so a group of order n needs at most log2(n) picks.
     """
-    inside = np.zeros(len(arr), dtype=bool)
-    inside[0] = True
-    picks = []
-    while not inside.all():
-        pick = int(np.argmin(inside))
-        picks.append(pick)
-        inside[pick] = True
-        close_under_products(arr, inside)
-    return picks
+    picks: list[int] = []
+    maps: list[list[int]] = []
+    closure = {0}
+    for c in candidates:
+        if c not in closure:
+            picks.append(c)
+            maps.append(table[:, c].tolist())
+            close_orbit(closure, maps)
+    return picks, closure
 
 
 def _check_associativity(arr: np.ndarray) -> None:
     """Light's test: (xy)s = x(ys) for all x, y and each generator s.
 
     The s that pass for every x, y are closed under products:
-    (xy)(ab) = ((xy)a)b = (x(ya))b = x((ya)b) = x(y(ab)), so checking a
-    generating set checks the whole table.  The identity passes trivially.
+    (xy)(ab) = ((xy)a)b = (x(ya))b = x((ya)b) = x(y(ab)).  The identity
+    passes trivially, so the passing s contain every left-normed product
+    ((s1 s2) ...) sk of the picks of ``generate``, which is exactly what
+    its right-multiplication closure of the identity reaches.  That closure
+    reaches every index, so checking the picks checks the whole table; this
+    holds for any table with an identity, associative or not.
     """
-    for k in _magma_generators(arr):
+    for k in generate(arr, range(len(arr)))[0]:
         column = arr[:, k]
         left = column.take(arr)             # [i, j] -> (i*j)*k
         right = arr.take(column, axis=1)    # [i, j] -> i*(j*k)

@@ -55,7 +55,14 @@ def decimal_digits(n: int) -> int:
 
 
 def size_text(n: int) -> str:
-    """n in decimal, or its digit count past Python's print limit (4300 by default)."""
+    """n in decimal, or its digit count once n reaches 2^10000.
+
+    2^10000 has 3,011 digits, so every n of at most 3,010 digits prints in
+    full and every n of 3,012 or more shows its count.  The cut is on the bit
+    length, which costs nothing to read, and sits below Python's default
+    limit on int-to-str conversion (4,300 digits, about 14,284 bits), so
+    ``str(n)`` is never refused.
+    """
     return str(n) if n.bit_length() <= 10_000 else f"a {decimal_digits(n)}-digit number"
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gentotient import authom, core
+from gentotient import authom, classc, core
 from gentotient import closedforms as cf
 from gentotient import families as fam
 from gentotient import verification
@@ -146,6 +146,67 @@ def test_derived_subgroup_orders():
     for group in (fam.cyclic(1), fam.cyclic(12), fam.elementary_abelian(2, 3),
                   fam.abelian([(2, [1, 2]), (3, [1])])):
         assert derived_order(group) == 1, group.name
+
+
+def reference_close_under_products(table, inside):
+    """Grow the mask ``inside`` until its members are closed under products."""
+    while True:
+        members = np.flatnonzero(inside)
+        inside[table[np.ix_(members, members)]] = True
+        if np.count_nonzero(inside) == len(members):
+            return
+
+
+def reference_smallest_index_generators(table):
+    """Each pick the smallest index outside the product closure so far."""
+    inside = np.zeros(len(table), dtype=bool)
+    inside[0] = True
+    picks = []
+    while not inside.all():
+        pick = int(np.argmin(inside))
+        picks.append(pick)
+        inside[pick] = True
+        reference_close_under_products(table, inside)
+    return picks
+
+
+def reference_largest_order_generators(mat):
+    """Each pick a largest-order index outside the closure so far, the
+    smallest index on ties; the closure grows under right multiplication."""
+    gens, maps, closure = [], [], {0}
+    while len(closure) < mat.n:
+        best, best_order = -1, 0
+        for i in range(mat.n):
+            if i not in closure and mat.orders[i] > best_order:
+                best, best_order = i, mat.orders[i]
+        gens.append(best)
+        maps.append([row[best] for row in mat.table])
+        queue = list(closure)
+        while queue:
+            x = queue.pop()
+            for a in maps:
+                if a[x] not in closure:
+                    closure.add(a[x])
+                    queue.append(a[x])
+    return gens
+
+
+def test_generate_matches_the_closures_it_replaced():
+    groups = list(classc.scan_families.__wrapped__(64)[::7])
+    groups += [fam.dihedral(128), fam.generalized_quaternion(128), fam.quasidihedral(128),
+               fam.symmetric(4), fam.alternating(5)]
+    for group in groups:
+        table = group.index_table()
+        mat = authom.MaterializedGroup(group)
+        assert authom.greedy_generators(mat) == reference_largest_order_generators(mat), group.name
+        picks, closure = core.generate(table, range(group.order))
+        assert picks == reference_smallest_index_generators(table), group.name
+        assert closure == set(range(group.order)), group.name
+        inv = np.argmax(table == 0, axis=1)
+        derived = np.zeros(group.order, dtype=bool)
+        derived[table[table[inv[:, None], inv], table]] = True
+        reference_close_under_products(table, derived)
+        assert np.array_equal(authom._derived_subgroup(table), derived), group.name
 
 
 def test_aut_of_cyclic_matches_the_orbit_search():
