@@ -381,47 +381,6 @@ def aut_product_formula(g1: Group, g2: Group) -> int:
 
 
 @dataclass(frozen=True)
-class PhiOrderMatch:
-    """Both sides of: phi(G) = phi(|G|) iff k = |G| / exp(G)."""
-
-    phi_g: int
-    phi_order: int
-    k: int
-    ratio: int
-    holds: bool
-
-
-def phi_order_match_check(group: Group) -> PhiOrderMatch:
-    """Evaluate phi(G) = phi(|G|) and k = |G|/exp(G) independently.
-
-    The two conditions are equivalent; computing both and comparing guards
-    the whole pipeline.
-    """
-    rep = report(group)
-    lhs = rep.phi_g == rep.phi_of_order
-    ratio = group.order // rep.exponent
-    rhs = rep.k == ratio
-    if lhs != rhs:
-        raise IntegrityError(
-            f"equivalence broken for {group.name}: phi-match={lhs}, k-match={rhs}"
-        )
-    return PhiOrderMatch(rep.phi_g, rep.phi_of_order, rep.k, ratio, lhs)
-
-
-def phi_exp_match_check(group: Group) -> bool:
-    """True iff G has a unique cyclic subgroup of maximal order (k = 1).
-
-    Equivalent to phi(G) = phi(exp G); both forms are computed and compared.
-    """
-    rep = report(group)
-    lhs = rep.k == 1
-    rhs = rep.phi_g == rep.phi_of_exp and rep.phi_g != 0
-    if lhs != rhs:
-        raise IntegrityError(f"k = 1 equivalence broken for {group.name}")
-    return lhs
-
-
-@dataclass(frozen=True)
 class PhiAutScreen:
     """Screen for phi(G) > |Aut(G)| candidates.
 

@@ -1397,7 +1397,12 @@ def commuting_witness(group: Group) -> Optional[list]:
 
 
 def report(group: Group) -> PhiReport:
-    """Assemble every spectrum-derived quantity for a group."""
+    """Assemble every spectrum-derived quantity for a group.
+
+    Certifies the paper's two equivalences, phi(G) = phi(|G|) iff
+    k = |G|/exp(G) and k = 1 iff phi(G) = phi(exp G) != 0, by computing each
+    right-hand side on its own.
+    """
     spec = group.spectrum()
     exp = spec.exponent()
     phi_g = spec.phi()
@@ -1406,6 +1411,10 @@ def report(group: Group) -> PhiReport:
     if rem:
         raise IntegrityError(f"phi is not a multiple of phi(exp) for {group.name}")
     phi_order = euler_phi_from_factorization(group.order_factorization())
+    if (phi_g == phi_order) != (k == group.order // exp):
+        raise IntegrityError(f"phi(G) = phi(|G|) iff k = |G|/exp fails for {group.name}")
+    if (k == 1) != (phi_g == phi_exp != 0):
+        raise IntegrityError(f"k = 1 iff phi(G) = phi(exp G) != 0 fails for {group.name}")
     return PhiReport(
         order=group.order,
         exponent=exp,

@@ -10,7 +10,7 @@ from functools import lru_cache
 from gentotient import authom, classc, verification
 from gentotient import closedforms as cf
 from gentotient import families as fam
-from gentotient.core import spectrum_by_enumeration
+from gentotient.core import report, spectrum_by_enumeration
 from gentotient.numtheory import euler_phi
 
 
@@ -47,7 +47,14 @@ def test_criterion_01_showcase_phi_values():
 
 
 def test_criterion_02_abelian_formula_vs_oracle_up_to_5000():
-    """Primary-type formula equals the exhaustive count for every type."""
+    """Primary-type formula equals AbelianGroup's spectrum for every type.
+
+    That spectrum is the lcm-convolution of the cyclic factors' order counts,
+    a route apart from the enumeration engine that verification.abelian_sweep
+    checks the formula against.  The check stays a loop of its own because
+    the engine over the same 10,960 types takes 11-13 s, against 0.9 s for
+    the convolution (2-core Xeon).
+    """
     count = 0
     for order, ptype in cf.abelian_types_up_to(5000):
         got = cf.phi_abelian(ptype)
@@ -73,10 +80,7 @@ def test_criterion_03_hamiltonian_formula_vs_oracle_up_to_5000():
 def test_criterion_04_dihedral_and_power_automorphism_groups():
     """Dihedral phi and exp formulas for 2 <= n <= 100; P-groups have phi = 0."""
     assert verification.dihedral_sweep(100) == []
-    pqn = [(3, 2, n) for n in (2, 3, 4)] + [(5, 2, n) for n in (2, 3)] + \
-          [(7, 3, n) for n in (2, 3)] + [(13, 3, 2)]
-    for p, q, n in pqn:
-        assert spectrum_by_enumeration(fam.p_group_P(p, q, n)).phi() == 0, (p, q, n)
+    assert verification.p_group_sweep(150) == []
     announce(4, "dihedral formula = oracle (n <= 100); P-group phi = 0 confirmed")
 
 
@@ -130,9 +134,7 @@ def test_criterion_08_order_ratio_equivalences_on_catalog():
     """phi(G) = phi(|G|) iff k = |G|/exp, and phi(G) = phi(exp) iff k = 1."""
     count = 0
     for group in catalog_2000():
-        rec = authom.phi_order_match_check(group)   # raises if sides disagree
-        assert rec.holds == (rec.k == rec.ratio)
-        authom.phi_exp_match_check(group)           # raises if sides disagree
+        report(group)   # raises IntegrityError if either equivalence breaks
         count += 1
     assert count >= 100
     announce(8, f"both equivalences hold on all {count} catalog groups <= 2000")
@@ -146,8 +148,7 @@ def test_criterion_09_abelian_phi_bounded_by_aut():
     """
     compared, refused = verification.abelian_phi_aut_sweep(128)
     for row in compared:
-        assert row.phi <= row.aut, row.name
-        assert (row.phi == row.aut) == row.cyclic, row.name
+        assert row.holds, row.name
     assert sorted(refused) == [
         "Z2xZ2xZ2xZ16",
         "Z2xZ2xZ2xZ2xZ2",

@@ -127,12 +127,7 @@ def test_catalog_scan_is_deterministic():
 
 
 def test_class_c_closed_under_products():
-    members = [g for g in classc.standard_catalog(150) if classc.in_class_c(g)]
-    assert members
-    for i, g1 in enumerate(members):
-        for g2 in members[i:]:
-            if g1.order * g2.order <= 10_000:
-                assert classc.in_class_c(fam.direct_product([g1, g2]))
+    assert verification.class_c_product_sweep(150, 10_000) == []
 
 
 def test_class_c_not_closed_under_subgroups_or_quotients():

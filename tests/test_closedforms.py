@@ -92,21 +92,15 @@ def test_phi_abelian_examples_with_oracle():
         assert got == spectrum_by_enumeration(fam.abelian(ptype)).phi()
 
 
-def test_phi_abelian_sweep_small():
-    for _, ptype in cf.abelian_types_up_to(400):
-        assert cf.phi_abelian(ptype) == spectrum_by_enumeration(fam.abelian(ptype)).phi()
+def test_abelian_sweep():
+    assert verification.abelian_sweep(400) == []
 
 
-def test_abelian_phi_dominates_classical():
-    # equality exactly when the top exponent is strict for every prime
-    for order, ptype in cf.abelian_types_up_to(400):
-        phi_g = cf.phi_abelian(ptype)
-        assert phi_g >= euler_phi(order)
-        strict_top = all(
-            len(alphas) == 1 or sorted(alphas)[-1] > sorted(alphas)[-2]
-            for _, alphas in ptype
-        )
-        assert (phi_g == euler_phi(order)) == strict_top
+def test_abelian_sweep_reports_a_wrong_formula(monkeypatch):
+    real = cf.phi_abelian
+    monkeypatch.setattr(cf, "phi_abelian",
+                        lambda ptype: real(ptype) + (ptype == [(2, [1, 1])]))
+    assert verification.abelian_sweep(16) == [verification.Mismatch("phi", "Z2xZ2", 4, 3)]
 
 
 def test_phi_hamiltonian_examples():

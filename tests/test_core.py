@@ -399,6 +399,26 @@ def test_report_d10():
     assert not rep.eq_order_flag
 
 
+def test_report_equivalence_flags():
+    z3s3 = fam.direct_product([fam.cyclic(3), fam.symmetric(3)])
+    rep = gt.report(z3s3)
+    assert rep.eq_order_flag and rep.k == 3 == z3s3.order // rep.exponent
+    assert gt.report(fam.cyclic(40)).eq_order_flag
+    rep_d8 = gt.report(fam.dihedral(8))
+    assert not rep_d8.eq_order_flag and (rep_d8.phi_g, rep_d8.phi_of_order) == (2, 4)
+    assert gt.report(fam.generalized_quaternion(16)).eq_exp_flag
+    assert gt.report(fam.cyclic(36)).eq_exp_flag
+    assert not gt.report(fam.generalized_quaternion(8)).eq_exp_flag  # k = 3
+    assert not gt.report(fam.symmetric(3)).eq_exp_flag  # phi = 0
+
+
+def test_report_raises_when_an_equivalence_breaks(monkeypatch):
+    real = core.euler_phi_from_factorization
+    monkeypatch.setattr(core, "euler_phi_from_factorization", lambda f: real(f) + 1)
+    with pytest.raises(IntegrityError, match=r"iff k = \|G\|/exp fails for Z40$"):
+        gt.report(fam.cyclic(40))
+
+
 def test_report_huge_symmetric_order_factorization():
     # trial division of |S_30| stops once the primes up to 30 are divided out
     rep = gt.report(fam.symmetric(30))
