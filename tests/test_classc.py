@@ -130,6 +130,13 @@ def test_class_c_closed_under_products():
     assert verification.class_c_product_sweep(150, 10_000) == []
 
 
+def test_class_c_product_sweep_reports_a_product_outside_c(monkeypatch):
+    real = classc.in_class_c
+    monkeypatch.setattr(classc, "in_class_c", lambda g: g.name != "Z3xZ3" and real(g))
+    assert verification.class_c_product_sweep(3, 9) == \
+        [verification.Mismatch("product", "Z3xZ3", True, False)]
+
+
 def test_class_c_not_closed_under_subgroups_or_quotients():
     # the order-12 dihedral group is in C yet contains (and maps onto) a
     # copy of the symmetric group on three letters, which is not

@@ -123,6 +123,13 @@ def test_phi_dihedral_examples_and_sweep():
     assert verification.dihedral_sweep(40) == []
 
 
+def test_p_group_sweep_reports_a_nonzero_phi(monkeypatch):
+    real = fam.p_group_P
+    monkeypatch.setattr(fam, "p_group_P",
+                        lambda p, q, n: fam.cyclic(6) if (p, q, n) == (3, 2, 2) else real(p, q, n))
+    assert verification.p_group_sweep(21) == [verification.Mismatch("phi", "Z6", 0, 2)]
+
+
 # -- symmetric / alternating ----------------------------------------------------
 
 
