@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from . import families
 from .closedforms import metacyclic_order_profile
@@ -25,18 +26,13 @@ def in_class_c(group: Group) -> bool:
 
 
 def sublattice_check(group: Group) -> bool:
-    """True when the element orders are closed under pairwise lcm and gcd.
-
-    Element orders are always divisor-closed, so gcd-closure holds for any
-    group; lcm-closure is the condition equivalent to membership in C.
+    """True when the element orders are closed under pairwise lcm (and so
+    form a sublattice of the divisors of exp(G)), the condition equivalent
+    to membership in C.  They are divisor-closed, so gcd-closure holds in
+    every group; `OrderSpectrum.check` enforces it.
     """
-    orders = set(group.spectrum().entries)
-    ordered = sorted(orders)
-    for i, a in enumerate(ordered):
-        for b in ordered[i:]:
-            if math.lcm(a, b) not in orders or math.gcd(a, b) not in orders:
-                return False
-    return True
+    orders = group.spectrum().entries
+    return all(math.lcm(a, b) in orders for a, b in combinations(orders, 2))
 
 
 def metacyclic_in_c(m: int, n: int, s: int, r: int) -> bool:

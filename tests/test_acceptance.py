@@ -7,7 +7,10 @@ Every comparison is exact (integers and booleans).  Run with
 import math
 from functools import lru_cache
 
-from gentotient import authom, classc, verification
+import numpy as np
+import pytest
+
+from gentotient import authom, classc, core, verification
 from gentotient import closedforms as cf
 from gentotient import families as fam
 from gentotient.core import report, spectrum_by_enumeration
@@ -130,14 +133,69 @@ def test_criterion_07_mathieu_counterexample_inequality():
     announce(7, f"phi(Z1320xM11) = {phi_big} > 2534400, exact")
 
 
+def counted_k(group):
+    """Cyclic subgroups of order e = exp(G), counted under the group law.
+
+    X holds the elements that the order engine places at order e.  The
+    powers x^0, ..., x^e of every x in X are built by index_product, one
+    batch per exponent, from the identity at index 0, and each x must have
+    order exactly e.  <x> is then the set of its first e powers, so two
+    elements generate the same subgroup exactly when their sorted columns
+    agree.
+    """
+    e = report(group).exponent
+    x = np.flatnonzero(group.element_orders() == e)
+    powers = [np.zeros_like(x)]
+    for _ in range(e):
+        powers.append(group.index_product(powers[-1], x))
+    powers = np.array(powers)
+    assert (powers[1] == x).all(), f"index 0 is not the identity of {group.name}"
+    assert (powers[1:e] != 0).all() and (powers[e] == 0).all(), \
+        f"an element of {group.name} placed at order {e} has another order"
+    return np.unique(np.sort(powers[:e], axis=0), axis=1).shape[1]
+
+
 def test_criterion_08_order_ratio_equivalences_on_catalog():
-    """phi(G) = phi(|G|) iff k = |G|/exp, and phi(G) = phi(exp) iff k = 1."""
-    count = 0
+    """k, counted under the group law, is report()'s phi(G) / phi(exp G).
+
+    The paper's two equivalences, phi(G) = phi(|G|) iff k = |G|/exp and
+    phi(G) = phi(exp) iff k = 1, follow from phi(G) = k phi(exp G) by
+    arithmetic, so that identity is what is checked here.
+    """
+    ks = []
     for group in catalog_2000():
-        report(group)   # raises IntegrityError if either equivalence breaks
-        count += 1
-    assert count >= 100
-    announce(8, f"both equivalences hold on all {count} catalog groups <= 2000")
+        k, rep = counted_k(group), report(group)
+        assert k == rep.k and rep.phi_g == k * euler_phi(rep.exponent), group.name
+        ks.append(k)
+    assert len(ks) >= 100
+    announce(8, f"phi(G) = k phi(exp G) on all {len(ks)} catalog groups <= 2000, "
+                f"k counted as {sum(ks)} cyclic subgroups of order exp(G) in all")
+
+
+def test_criterion_08_rejects_an_inverse_pair_moved_to_the_exponent(monkeypatch):
+    """Z6 x Z3 with one inverse pair of order-3 elements placed at order 6.
+
+    OrderSpectrum.check accepts the result and report() reads k = 5, not 4.
+    The pair's subgroup is counted as a fifth one, so phi(G) = k phi(exp G)
+    still holds; only the order check on the powers rejects it.
+    """
+    assert counted_k(fam.metacyclic(6, 3, 0, 1)) == 4
+    real = core._element_orders
+
+    def mislabel(bucket):
+        orders = real(bucket).copy()
+        threes = np.flatnonzero(orders == 3)
+        first = np.full_like(threes, threes[0])
+        inverse = threes[bucket.index_product(first, threes) == 0]
+        orders[[threes[0], *inverse]] = 6
+        return orders
+
+    monkeypatch.setattr(core, "_element_orders", mislabel)
+    group = fam.metacyclic(6, 3, 0, 1)
+    assert dict(group.spectrum().entries) == {1: 1, 2: 1, 3: 6, 6: 10}
+    assert report(group).k == 5
+    with pytest.raises(AssertionError, match="placed at order 6 has another order"):
+        counted_k(group)
 
 
 def test_criterion_09_abelian_phi_bounded_by_aut():
