@@ -26,7 +26,6 @@ from .core import (
     ResourceLimitError,
     SymmetricGroup,
     commuting_witness,
-    cyclic_count_max,
     enumeration_cap,
     exponent,
     multiply,

@@ -86,7 +86,7 @@ def _power_map(table: np.ndarray, k: int) -> np.ndarray:
 
 
 class MaterializedGroup:
-    """The group's cached element orders and ``index_table()`` as the Python
+    """The group's cached element orders and ``Group.table`` as the Python
     lists the search reads; index 0 is the identity."""
 
     def __init__(self, group: Group):
@@ -94,7 +94,7 @@ class MaterializedGroup:
         self.group = group
         self.n = group.order
         self.orders = group.element_orders().tolist()
-        self.table = group.index_table().tolist()
+        self.table = group.table
 
 
 def greedy_generators(mat: MaterializedGroup) -> list[int]:
@@ -154,6 +154,9 @@ def _morphism_search(src: MaterializedGroup, dst: MaterializedGroup,
         start = len(sub)
         sub.append(new_gen)
         # previously closed elements only need expansion by the new generator
+        # (two loops: one loop expanding every element by every assigned
+        # generator gave the same counts but made aut_count and hom_count
+        # 1.2-1.4x slower in CPU time on the benchmark's small groups)
         for pos in range(start):
             x = sub[pos]
             y = stable[x][new_gen]

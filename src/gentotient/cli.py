@@ -247,7 +247,7 @@ def _cmd_eval(args, out) -> int:
         result = {
             "order": group.order,
             "exponent": spec.exponent(),
-            "spectrum": {str(d): spec.entries[d] for d in spec.orders()},
+            "spectrum": {str(d): c for d, c in spec.entries.items()},
         }
     else:
         result = report(group).as_dict()

@@ -130,20 +130,6 @@ def alternating_order_spectrum(n: int) -> Mapping[int, int]:
     return MappingProxyType(_cycle_order_spectrum(n, even_only=True))
 
 
-def count_order_symmetric(n: int, m: int) -> int:
-    """Number of permutations in S_n of order exactly m."""
-    if n < 1 or m < 1:
-        raise ValueError("need n >= 1 and m >= 1")
-    return symmetric_order_spectrum(n).get(m, 0)
-
-
-def count_order_alternating(n: int, m: int) -> int:
-    """Number of even permutations in A_n of order exactly m."""
-    if n < 2 or m < 1:
-        raise ValueError("need n >= 2 and m >= 1")
-    return alternating_order_spectrum(n).get(m, 0)
-
-
 def exp_symmetric(n: int) -> int:
     """Exponent of S_n: lcm(1, 2, ..., n)."""
     if n < 1:
@@ -171,12 +157,12 @@ def exp_alternating(n: int) -> int:
 
 def phi_symmetric(n: int) -> int:
     """Maximal-order element count in S_n; 0 for every n >= 3."""
-    return count_order_symmetric(n, exp_symmetric(n))
+    return symmetric_order_spectrum(n).get(exp_symmetric(n), 0)
 
 
 def phi_alternating(n: int) -> int:
     """Maximal-order element count in A_n; 0 for every n >= 4."""
-    return count_order_alternating(n, exp_alternating(n))
+    return alternating_order_spectrum(n).get(exp_alternating(n), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import authom, classc, closedforms as cf, families
 from .core import (ResourceLimitError, commuting_witness, phi, report, spectra_of,
                    spectrum_by_enumeration)
@@ -259,8 +261,8 @@ def suite_symmetric() -> list[ReportRow]:
                           (cf.phi_alternating(2), cf.phi_alternating(3))))
     rows.append(ReportRow("exp(S4)", 12, cf.exp_symmetric(4)))
     rows.append(ReportRow("S4 has no element of order 12", 0,
-                          cf.count_order_symmetric(4, 12)))
-    rows.append(ReportRow("order-6 elements of S5", 20, cf.count_order_symmetric(5, 6)))
+                          cf.symmetric_order_spectrum(4).get(12, 0)))
+    rows.append(ReportRow("order-6 elements of S5", 20, cf.symmetric_order_spectrum(5).get(6, 0)))
     rows.append(ReportRow("cycle-type engine = enumeration for S_n, n <= 7", True,
                           "S_n" not in failed))
     rows.append(ReportRow("cycle-type engine = enumeration for A_n, n <= 7", True,
@@ -354,10 +356,13 @@ def class_c_sweep(max_order: int) -> list[Mismatch]:
         _compare(failures, "witness", g.name, member, witness is not None)
         if witness:
             targets = sorted(p**a for p, a in factorize(g.spectrum().exponent()).items())
+            idx = g.indices(witness)
             _compare(failures, "witness orders", g.name, targets,
-                     sorted(g.element_order(x) for x in witness))
-            commute = all(g.multiply(a, b) == g.multiply(b, a)
-                          for i, a in enumerate(witness) for b in witness[i + 1:])
+                     sorted(g.element_orders()[idx].tolist()))
+            # table[a, b] = ab over the witness, from one batch product
+            k = len(idx)
+            table = g.index_product(np.repeat(idx, k), np.tile(idx, k)).reshape(k, k)
+            commute = bool(np.array_equal(table, table.T))
             _compare(failures, "witness commutes", g.name, True, commute)
     return failures
 

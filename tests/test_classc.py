@@ -178,3 +178,13 @@ def test_catalog_groups_keep_no_index_table():
     verification.class_c_sweep(100)
     for g in classc.scan_families(64) + classc.standard_catalog(100):
         assert g._table is None, g.name
+
+
+@pytest.mark.parametrize("witness, check", [([(1, 0), (0, 2)], "witness commutes"),
+                                            ([(0, 1), (0, 2)], "witness orders")])
+def test_class_c_sweep_reports_a_bad_witness(monkeypatch, witness, check):
+    # in D12 = MC(6,2,0,5), b a^2 != a^2 b, and a has order 6, not 2
+    real = verification.commuting_witness
+    monkeypatch.setattr(verification, "commuting_witness",
+                        lambda g: witness if g.name == "D12" else real(g))
+    assert [(f.check, f.case) for f in verification.class_c_sweep(12)] == [(check, "D12")]

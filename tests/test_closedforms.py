@@ -149,14 +149,14 @@ def test_exp_against_enumeration():
     assert verification.cycle_type_sweep(7) == []
 
 
-def test_count_order_examples():
-    assert cf.count_order_symmetric(5, 6) == 20
+def test_symmetric_order_spectrum_examples():
+    assert cf.symmetric_order_spectrum(5)[6] == 20
     s5_count = sum(
         1 for x in fam.symmetric(5).elements() if fam.symmetric(5).element_order(x) == 6
     )
     assert s5_count == 20
-    assert cf.count_order_symmetric(3, 1) == 1
-    assert cf.count_order_symmetric(4, 12) == 0
+    assert cf.symmetric_order_spectrum(3)[1] == 1
+    assert 12 not in cf.symmetric_order_spectrum(4)
 
 
 def test_cycle_type_totals():

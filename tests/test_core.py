@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gentotient as gt
-from gentotient import classc
+from gentotient import authom, classc
 from gentotient import closedforms as cf
 from gentotient import core
 from gentotient import families as fam
@@ -77,7 +77,11 @@ def test_identity_law(group):
 def test_inverses_exist(group):
     e = group.identity()
     for i, x in enumerate(group.elements()):
-        assert group.multiply(x, group.power(x, group.element_order(x) - 1)) == e
+        # x^(o(x) - 1) by repeated products is the inverse of x
+        inverse = e
+        for _ in range(group.element_order(x) - 1):
+            inverse = group.multiply(inverse, x)
+        assert group.multiply(x, inverse) == e
         if i > 40:
             break
 
@@ -161,7 +165,8 @@ def test_payload_operations_keep_the_enumeration_cap(monkeypatch):
         fam.symmetric(11).identity()
     monkeypatch.setenv("GENTOTIENT_MAX_ELEMENTS", "100")
     g = fam.metacyclic(16, 8, 0, 3)
-    for refused in (lambda: gt.multiply(g, (1, 0), (0, 1)), g.identity, g.elements):
+    for refused in (lambda: gt.multiply(g, (1, 0), (0, 1)), g.identity, g.elements,
+                    lambda: gt.order(g, (1, 0))):
         with pytest.raises(ResourceLimitError) as err:
             refused()
         assert str(err.value) == (f"|{g.name}| = 128 exceeds the enumeration cap of 100 "
@@ -172,7 +177,7 @@ def test_payload_operations_keep_the_enumeration_cap(monkeypatch):
 def test_only_the_base_group_writes_payload_operations():
     """A realization writes one group law, its batch law; Group derives the
     payload operations from it, so no other class of core defines them."""
-    names = {"identity", "multiply", "elements", "power"}
+    names = {"identity", "multiply", "elements", "indices"}
     writers = {(cls.name, fn.name) for cls in ast.walk(ast.parse(inspect.getsource(core)))
                if isinstance(cls, ast.ClassDef)
                for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name in names}
@@ -250,7 +255,7 @@ def test_spectrum_invariants(group):
             if d % e == 0:
                 assert e in spec.entries
     # phi factorizes through the number of maximal cyclic subgroups
-    assert spec.phi() == euler_phi(exp) * gt.cyclic_count_max(group)
+    assert spec.phi() == euler_phi(exp) * gt.report(group).k
 
 
 def test_direct_product_convolution_matches_enumeration_pairwise():
@@ -350,10 +355,10 @@ def test_phi_examples():
     assert gt.phi(fam.symmetric(4)) == 0
 
 
-def test_cyclic_count_max_examples():
-    assert gt.cyclic_count_max(fam.direct_product([fam.cyclic(3), fam.symmetric(3)])) == 3
-    assert gt.cyclic_count_max(fam.cyclic(360)) == 1
-    assert gt.cyclic_count_max(fam.elementary_abelian(2, 3)) == 7
+def test_report_k_examples():
+    assert gt.report(fam.direct_product([fam.cyclic(3), fam.symmetric(3)])).k == 3
+    assert gt.report(fam.cyclic(360)).k == 1
+    assert gt.report(fam.elementary_abelian(2, 3)).k == 7
 
 
 # -- commuting witness --------------------------------------------------------
@@ -568,6 +573,17 @@ def test_index_table_is_built_once_and_read_only():
     assert table[3, 0] == 3 and table[0, 5] == 5
     with pytest.raises(ValueError):
         table[0, 0] = 1
+
+
+@pytest.mark.parametrize("build", [lambda: CayleyTableGroup(q8_table()),
+                                   lambda: fam.dihedral(12)], ids=["table", "batch-law"])
+def test_table_rows_are_built_once_and_shared(build):
+    group = build()
+    rows = group.table
+    assert group.table is rows
+    assert rows == group.index_table().tolist()
+    assert all(type(v) is int for row in rows for v in row)
+    assert authom.MaterializedGroup(group).table is authom.MaterializedGroup(group).table is rows
 
 
 def _no_product(self, a, b):
